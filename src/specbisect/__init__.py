@@ -17,7 +17,7 @@ from .sgn import (SgnParams, SgnTrace, apollonius_contains, mobius,
                   sgn_params_from_shattering)
 from .shatter import (ShatterParams, gap_tail_bound, shatter,
                       smoothed_bounds)
-from .split import SplitResult, eig_count_signed, split, split_iteration_budget
+from .split import SplitResult, eig_count_signed, split
 from .deflate import RurvResult, deflate, rurv
 
 __version__ = "0.1.0"
@@ -34,5 +34,5 @@ __all__ = [
     "required_precision_sgn", "rurv", "sample_ginibre",
     "sample_haar_unitary", "sgn", "sgn_error_bound",
     "sgn_iteration_count", "sgn_params_from_shattering", "shatter",
-    "smoothed_bounds", "split", "split_iteration_budget",
+    "smoothed_bounds", "split",
 ]

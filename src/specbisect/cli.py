@@ -2,11 +2,13 @@
 
 Every command writes a JSON report (stable key order) and mirrors it to
 stdout. Exit codes: 0 success, 1 contract violation, 2 probabilistic
-failure after retries, 3 I/O or parse error.
+failure after retries, 3 I/O or parse error (a command-line usage error
+included).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -77,7 +79,29 @@ def _grid_options(fn):
     return fn
 
 
-@click.group()
+@contextlib.contextmanager
+def _usage_exit():
+    try:
+        yield
+    except click.UsageError as err:
+        err.exit_code = EXIT_IO
+        raise
+
+
+class _Cli(click.Group):
+    """Group whose usage errors exit EXIT_IO instead of click's 2, which
+    here means a probabilistic failure."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_exit():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exit():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Cli)
 def main():
     """Randomized spectral-bisection eigensolver and statistics lab."""
 
@@ -87,20 +111,17 @@ def main():
 @click.option("--delta", type=float, default=0.05, show_default=True)
 @click.option("--theta", type=float, default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--mode", type=click.Choice(["empirical", "theoretical"]),
-              default="empirical", show_default=True)
 @click.option("--output", type=str, default=None)
-def eig(input_path, delta, theta, seed, mode, output):
+def eig(input_path, delta, theta, seed, output):
     """Backward-approximate diagonalization of a matrix with norm <= 1."""
     a = _load(input_path)
 
     def body():
         n = a.shape[0]
-        params = EigParams(delta=delta, theta=theta or 1.0 / max(n, 2),
-                           mode=mode)
+        params = EigParams(delta=delta, theta=theta or 1.0 / max(n, 2))
         res = eig_backward(a, delta, params, Rng(seed))
         report = res.to_json()
-        report.update({"seed": seed, "mode": mode, "delta": delta})
+        report.update({"seed": seed, "delta": delta})
         _emit(report, output)
 
     _run(body)

@@ -37,8 +37,6 @@ def rurv(a, rng: Rng) -> RurvResult:
     with probability at least 1 - theta^2.
     """
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("rurv needs a square matrix")
     n = a.shape[0]
     g = sample_ginibre(n, rng)
     v, _ = qr_factor(g)
@@ -59,8 +57,6 @@ def deflate(p_tilde, k: int, beta: float, eta: float, rng: Rng) -> np.ndarray:
     """
     p_tilde = as_cmatrix(p_tilde)
     n = p_tilde.shape[0]
-    if p_tilde.shape[0] != p_tilde.shape[1]:
-        raise PreconditionError("deflate needs a square projector")
     if not 1 <= k < n:
         raise PreconditionError(f"need 1 <= k < n, got k={k}, n={n}")
     if not 0.0 < beta <= 0.25:

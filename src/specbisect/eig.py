@@ -36,7 +36,6 @@ _BETA_FLOOR = 1e-300
 class EigParams:
     delta: float
     theta: float
-    mode: str = "empirical"
     retry_budget: int = 2
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class EigParams:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if self.mode not in ("theoretical", "empirical"):
-            raise ValueError("mode must be 'theoretical' or 'empirical'")
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
 
@@ -87,8 +84,6 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     """
     a = as_cmatrix(a)
     m = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("eig_shattered needs a square matrix")
     if m > n_global:
         raise PreconditionError("block size exceeds the global dimension")
 
@@ -146,16 +141,13 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     """
     a = as_cmatrix(a)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("eig_backward needs a square matrix")
     if op_norm(a) > 1.0 + 1e-12:
         raise PreconditionError("eig_backward requires ||A|| <= 1")
     if n == 1:
         return EigResult(np.eye(1, dtype=np.complex128),
                          np.array([complex(a[0, 0])]), 0.0, 1.0, [None], 0)
 
-    cert = shatter(a, ShatterParams(gamma=delta / 8.0, mode=params.mode),
-                   rng.child(0))
+    cert = shatter(a, ShatterParams(gamma=delta / 8.0), rng.child(0))
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n) if params.theta else 1.0 / n
     res = eig_shattered(cert.matrix, delta_p, cert.grid, cert.epsilon,

@@ -17,9 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PreconditionError
-from .kernels import as_cmatrix, sigma_min_shifted, sigma_min_shifted_batch
-
-_BATCH = 8192
+from .kernels import as_cmatrix, sigma_min_shifted_batch
 
 
 @dataclass(frozen=True)
@@ -161,23 +159,15 @@ def pseudospectrum_member(a, eps: float, z: complex) -> bool:
     """True iff z lies in the eps-pseudospectrum of a."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    return sigma_min_shifted(z, a) < eps
+    return bool(sigma_min_shifted_batch([z], a)[0] < eps)
 
 
 def min_line_sigma(a, g: Grid, mesh_per_segment: int = 64):
     """(min, argmin point) of sigma_min(z*I - A) over the meshed grid lines."""
-    a = as_cmatrix(a)
     pts = g.line_mesh(mesh_per_segment)
-    best = math.inf
-    best_z = pts[0]
-    for lo in range(0, pts.size, _BATCH):
-        chunk = pts[lo:lo + _BATCH]
-        svals = sigma_min_shifted_batch(chunk, a)
-        k = int(np.argmin(svals))
-        if svals[k] < best:
-            best = float(svals[k])
-            best_z = complex(chunk[k])
-    return best, best_z
+    svals = sigma_min_shifted_batch(pts, a)
+    k = int(np.argmin(svals))
+    return float(svals[k]), complex(pts[k])
 
 
 def certify_shattered(a, g: Grid, eps: float,
@@ -241,12 +231,16 @@ def kappa_v_upper(a) -> float:
     return float(math.sqrt(n * float(np.sum(kappas**2))))
 
 
+def eigenvalue_gap(evals) -> float:
+    """Minimum pairwise distance between the given eigenvalues (n >= 2)."""
+    diffs = np.abs(evals[:, None] - evals[None, :])
+    np.fill_diagonal(diffs, np.inf)
+    return float(diffs.min())
+
+
 def min_gap(a) -> float:
     """Minimum pairwise distance between eigenvalues."""
     a = as_cmatrix(a)
     if a.shape[0] < 2:
         raise PreconditionError("min_gap needs n >= 2")
-    evals = np.linalg.eigvals(a)
-    diffs = np.abs(evals[:, None] - evals[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    return float(diffs.min())
+    return eigenvalue_gap(np.linalg.eigvals(a))

@@ -1,10 +1,11 @@
 """Dense complex-matrix kernels.
 
-All operations work on square-ish complex128 ndarrays and are pure: inputs
-are never mutated. These are the concrete instantiations of the black-box
-stable primitives (multiply, invert, QR, norms) that the higher-level
-algorithms are built on, together with a profile of their stability
-constants used by the precision calculators.
+All operations work on complex128 ndarrays and are pure: inputs are never
+mutated. Square-matrix kernels validate through as_cmatrix; QR, norms and
+column scaling accept any 2-d array. These are the concrete instantiations
+of the black-box stable primitives (invert, QR, norms) that the
+higher-level algorithms are built on, together with a profile of their
+stability constants used by the precision calculators.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .errors import DimensionError, SingularMatrixError, ZeroColumnError
 
 #: unit roundoff of IEEE double arithmetic
 UNIT_ROUNDOFF = 2.0**-53
+
+#: shifts per batched SVD stack in sigma_min_shifted_batch (memory cap)
+SHIFT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -59,28 +63,17 @@ DEFAULT_PROFILE = BackendProfile()
 
 
 def as_cmatrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array; reject NaN/Inf."""
+    """Coerce to a finite square complex128 matrix.
+
+    The single input gate of the package: DimensionError for any shape
+    fault, ValueError for NaN/Inf entries.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def mat_mul(a, b) -> np.ndarray:
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def _require_square(a) -> np.ndarray:
-    a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {a.shape}")
-    return a
 
 
 def lu_pivot_extremes(a) -> tuple[float, float]:
@@ -89,7 +82,7 @@ def lu_pivot_extremes(a) -> tuple[float, float]:
     The ratio largest/smallest is a cheap growth-based condition estimate,
     used to detect singularity to working precision before inverting.
     """
-    a = _require_square(a)
+    a = as_cmatrix(a)
     lu, _ = scipy.linalg.lu_factor(a, check_finite=False)
     d = np.abs(np.diag(lu))
     return float(d.min()), float(d.max())
@@ -97,7 +90,7 @@ def lu_pivot_extremes(a) -> tuple[float, float]:
 
 def mat_inv(a) -> np.ndarray:
     """Invert via partial-pivot LU; error out on singular-to-precision input."""
-    a = _require_square(a)
+    a = as_cmatrix(a)
     n = a.shape[0]
     lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     d = np.abs(np.diag(lu))
@@ -118,7 +111,7 @@ def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
     The convention is enforced by a diagonal phase fix; it is what makes
     the Q of a Ginibre matrix exactly Haar distributed.
     """
-    a = as_cmatrix(a)
+    a = np.asarray(a, dtype=np.complex128)
     q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
     k = min(a.shape)
     d = np.diag(r)[:k].copy()
@@ -134,48 +127,41 @@ def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
 
 def op_norm(a) -> float:
     """Spectral norm (largest singular value)."""
-    a = as_cmatrix(a)
+    a = np.asarray(a, dtype=np.complex128)
     if not a.any():
         return 0.0
     return float(scipy.linalg.svdvals(a, check_finite=False)[0])
 
 
-def sigma_min(a) -> float:
-    """Smallest singular value."""
-    a = as_cmatrix(a)
-    return float(scipy.linalg.svdvals(a, check_finite=False)[-1])
-
-
-def sigma_min_shifted(z: complex, a) -> float:
-    """sigma_min(z*I - A), the reciprocal resolvent norm at z."""
-    a = _require_square(a)
-    shifted = -a.copy()
-    idx = np.arange(a.shape[0])
-    shifted[idx, idx] += z
-    return float(scipy.linalg.svdvals(shifted, check_finite=False)[-1])
-
-
 def sigma_min_shifted_batch(zs, a) -> np.ndarray:
-    """sigma_min(z*I - A) for an array of shifts, via one batched SVD."""
-    a = _require_square(a)
+    """sigma_min(z*I - A) for an array of shifts, via batched SVDs.
+
+    Shifts are processed SHIFT_CHUNK at a time, which caps the memory of
+    the shifted stack; the result does not depend on the chunking.
+    """
+    a = as_cmatrix(a)
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     n = a.shape[0]
-    stack = np.broadcast_to(-a, (zs.size, n, n)).copy()
     idx = np.arange(n)
-    stack[:, idx, idx] += zs[:, np.newaxis]
-    svals = np.linalg.svd(stack, compute_uv=False)
-    return svals[:, -1]
+    out = np.empty(zs.size)
+    for lo in range(0, zs.size, SHIFT_CHUNK):
+        chunk = zs[lo:lo + SHIFT_CHUNK]
+        stack = np.broadcast_to(-a, (chunk.size, n, n)).copy()
+        stack[:, idx, idx] += chunk[:, np.newaxis]
+        out[lo:lo + chunk.size] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        del stack  # free before the next chunk is allocated
+    return out
 
 
 def trace(a) -> complex:
     """Exactly-rounded sum of the diagonal (compensated accumulation)."""
-    a = _require_square(a)
+    a = as_cmatrix(a)
     d = np.diag(a)
     return complex(math.fsum(d.real), math.fsum(d.imag))
 
 
 def normalize_columns(v) -> np.ndarray:
-    v = as_cmatrix(v)
+    v = np.asarray(v, dtype=np.complex128)
     norms = np.linalg.norm(v, axis=0)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:

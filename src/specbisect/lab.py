@@ -168,7 +168,7 @@ def run_e2e_experiment(n: int, delta: float, trials: int, rng: Rng
     """End-to-end backward-error success rate of the full pipeline on
     random unit-norm inputs, versus the 1 - 1/n - 12/n^2 floor.
     """
-    params = EigParams(delta=delta, theta=1.0 / n, mode="empirical")
+    params = EigParams(delta=delta, theta=1.0 / n)
     kv_cap = 32.0 * n**2.5 / delta
     depth_cap = math.log(n) / math.log(1.25)
     successes = 0

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrixError
 from .kernels import qr_factor
 
 
@@ -53,14 +52,8 @@ def sample_ginibre(n: int, rng: Rng) -> np.ndarray:
 
 def sample_haar_unitary(n: int, rng: Rng) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a Ginibre matrix."""
-    for attempt in range(2):
-        g = sample_ginibre(n, rng if attempt == 0 else rng.child(0x9A4))
-        try:
-            q, _ = qr_factor(g)
-            return q
-        except SingularMatrixError:
-            continue
-    raise SingularMatrixError("Ginibre sample singular twice in a row")
+    q, _ = qr_factor(sample_ginibre(n, rng))
+    return q
 
 
 def haar_corner_sigma_min_cdf(n: int, r: int, theta: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SingularMatrixError
 from .kernels import (DEFAULT_PROFILE, BackendProfile, UNIT_ROUNDOFF,
                       as_cmatrix, lu_pivot_extremes, mat_inv, op_norm)
 
@@ -225,8 +225,6 @@ def sgn(a, params: SgnParams, early_stop: bool = False
     violated (the pseudospectrum touched the imaginary axis).
     """
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("sgn needs a square matrix")
     n = a.shape[0]
     n_steps = sgn_iteration_count(params.alpha0, params.eps0, params.beta)
     _, bits = required_precision_sgn(n, params.alpha0, params.eps0, params.beta)
@@ -240,12 +238,15 @@ def sgn(a, params: SgnParams, early_stop: bool = False
     x = a.copy()
     kappa_cap = 1.0 / (10.0 * UNIT_ROUNDOFF)
     for k in range(n_steps):
-        lo, hi = lu_pivot_extremes(x)
-        if lo == 0.0 or hi / lo > kappa_cap:
+        try:
+            lo, hi = lu_pivot_extremes(x)
+            if lo == 0.0 or hi / lo > kappa_cap:
+                raise SingularMatrixError("pivot ratio above 1/(10u)", pivot=lo)
+            xinv = mat_inv(x)
+        except SingularMatrixError as err:
             raise PreconditionError(
                 f"iterate {k} is singular to working precision; the "
-                f"pseudospectrum likely touches the imaginary axis")
-        xinv = mat_inv(x)
+                f"pseudospectrum likely touches the imaginary axis") from err
         x_next = 0.5 * (x + xinv)
         if not (np.all(np.isfinite(x_next.real))
                 and np.all(np.isfinite(x_next.imag))):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, PreconditionError
-from .grids import Grid, ShatterCert, kappa_v_upper
+from .grids import Grid, ShatterCert, eigenvalue_gap, kappa_v_upper
 from .kernels import (UNIT_ROUNDOFF, as_cmatrix, op_norm,
                       sigma_min_shifted_batch)
 from .randmat import Rng, sample_ginibre
@@ -77,7 +77,6 @@ def windowed_line_margin(x, g: Grid, evals, kappa_v: float,
     covered by window/kappa_V without touching it. This keeps certification
     affordable on grids with millions of squares.
     """
-    x = as_cmatrix(x)
     w = window_mult * g.omega
     step = g.omega / mesh_per_segment
     xs = g.vertical_line_xs()
@@ -97,11 +96,7 @@ def windowed_line_margin(x, g: Grid, evals, kappa_v: float,
     if not pts:
         return math.inf, far
     zs = np.unique(np.concatenate(pts))
-    best = math.inf
-    for lo in range(0, zs.size, 8192):
-        svals = sigma_min_shifted_batch(zs[lo:lo + 8192], x)
-        best = min(best, float(svals.min()))
-    return best, far
+    return float(sigma_min_shifted_batch(zs, x).min(initial=math.inf)), far
 
 
 def _theoretical_cert(x, n: int, gamma: float, rng: Rng) -> ShatterCert:
@@ -121,12 +116,7 @@ def _theoretical_cert(x, n: int, gamma: float, rng: Rng) -> ShatterCert:
 def _empirical_cert(x, gamma: float, mesh: int, rng: Rng) -> ShatterCert | None:
     n = x.shape[0]
     evals = np.linalg.eigvals(x)
-    if n >= 2:
-        diffs = np.abs(evals[:, None] - evals[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        gap = float(diffs.min())
-    else:
-        gap = 8.0
+    gap = eigenvalue_gap(evals) if n >= 2 else 8.0
     if gap <= 0.0:
         return None
     omega = gap / 4.0
@@ -154,8 +144,6 @@ def shatter(a, p: ShatterParams, rng: Rng) -> ShatterCert:
     """
     a = as_cmatrix(a)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("shatter needs a square matrix")
     if op_norm(a) > 1.0 + 1e-12:
         raise PreconditionError("shatter requires ||A|| <= 1")
 

@@ -44,28 +44,24 @@ class SplitResult:
         }
 
 
-def split_iteration_budget(eps: float, beta: float) -> int:
-    """Newton steps per sign-function call inside split:
-    N = ceil(lg 256/eps + 3 lg lg 256/eps + lg lg 4/(beta eps) + 7.59).
-    """
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 0.5]")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    raw = (math.log2(256.0 / eps) + 3.0 * math.log2(math.log2(256.0 / eps))
-           + math.log2(math.log2(4.0 / (beta * eps))) + 7.59)
-    return math.ceil(raw)
-
-
 def _signed_sign_trace(a, h: float, eps: float, g: Grid, beta: float):
     """(S, Re Tr S) for S = approximate sgn(A - hI)."""
-    a = as_cmatrix(a)
     shifted = a.copy()
     idx = np.arange(a.shape[0])
     shifted[idx, idx] -= h
     eps0, alpha0 = sgn_params_from_shattering(eps, g)
     s, _ = sgn(shifted, SgnParams(eps0, alpha0, beta))
     return s, trace(s).real
+
+
+def _census(t: float) -> int:
+    """Round a sign trace to the signed count; AmbiguousCountError when it
+    is further than 0.3 from an integer."""
+    r = round(t)
+    if abs(t - r) > 0.3:
+        raise AmbiguousCountError(
+            f"sign trace {t:.4f} is not close to an integer", trace_value=t)
+    return int(r)
 
 
 def eig_count_signed(a, h: float, eps: float, g: Grid, beta: float) -> int:
@@ -76,12 +72,8 @@ def eig_count_signed(a, h: float, eps: float, g: Grid, beta: float) -> int:
     integer means the sign iteration did not resolve the census, which
     signals a violated precondition.
     """
-    _, t = _signed_sign_trace(a, h, eps, g, beta)
-    r = round(t)
-    if abs(t - r) > 0.3:
-        raise AmbiguousCountError(
-            f"sign trace {t:.4f} is not close to an integer", trace_value=t)
-    return int(r)
+    _, t = _signed_sign_trace(as_cmatrix(a), h, eps, g, beta)
+    return _census(t)
 
 
 def _search_vertical(a, eps: float, g: Grid, beta: float, threshold: int):
@@ -99,12 +91,7 @@ def _search_vertical(a, eps: float, g: Grid, beta: float, threshold: int):
         if k not in cache:
             h = g.x0 + k * g.omega
             s, t = _signed_sign_trace(a, h, eps, g, beta)
-            r = round(t)
-            if abs(t - r) > 0.3:
-                raise AmbiguousCountError(
-                    f"sign trace {t:.4f} is not close to an integer",
-                    trace_value=t)
-            cache[k] = (s, int(r))
+            cache[k] = (s, _census(t))
         return cache[k]
 
     lo, hi = 1, n_lines
@@ -140,8 +127,6 @@ def split(a, eps: float, g: Grid, beta: float) -> SplitResult:
     for n > 5; for n <= 5 any line with both sides nonempty is accepted.
     """
     a = as_cmatrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("split needs a square matrix")
     n = a.shape[0]
     if n < 2:
         raise PreconditionError("split needs n >= 2")

@@ -1,8 +1,8 @@
 """Shared oracles and constructors for the test suite.
 
 Oracles are deliberately independent of the package internals: dense
-eigendecompositions through numpy/scipy, extended-precision reference
-products, and closed-form constructions with known answers.
+eigendecompositions through numpy/scipy and closed-form constructions
+with known answers.
 """
 
 import math

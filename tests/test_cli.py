@@ -54,6 +54,18 @@ def test_missing_input_exit_3(runner):
     assert res.exit_code == 3
 
 
+def test_unknown_option_exit_3(runner):
+    res = runner.invoke(main, ["eig", "--input", "a.mtx", "--bogus", "1"])
+    assert res.exit_code == 3
+    assert "No such option" in res.output
+
+
+def test_removed_eig_mode_option_exit_3(runner):
+    res = runner.invoke(main, ["eig", "--input", "a.mtx", "--mode",
+                               "empirical"])
+    assert res.exit_code == 3
+
+
 def test_sgn_command(tmp_path, runner):
     path = _write(tmp_path, "s.mtx", np.diag([2.0, -3.0]))
     sout = tmp_path / "sign.mtx"

@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 
 from specbisect.errors import DimensionError, SingularMatrixError, ZeroColumnError
-from specbisect.kernels import (DEFAULT_PROFILE, UNIT_ROUNDOFF, as_cmatrix,
-                                lu_pivot_extremes, mat_inv, mat_mul, op_norm,
-                                normalize_columns, qr_factor, sigma_min,
-                                sigma_min_shifted, sigma_min_shifted_batch,
-                                trace)
+from specbisect.grids import Grid, min_line_sigma
+from specbisect.kernels import (DEFAULT_PROFILE, SHIFT_CHUNK, UNIT_ROUNDOFF,
+                                as_cmatrix, lu_pivot_extremes, mat_inv,
+                                op_norm, normalize_columns, qr_factor,
+                                sigma_min_shifted_batch, trace)
 from specbisect.randmat import Rng, sample_ginibre
 
 
@@ -23,6 +23,8 @@ def test_profile_defaults():
 def test_as_cmatrix_rejects():
     with pytest.raises(DimensionError):
         as_cmatrix(np.zeros(3))
+    with pytest.raises(DimensionError):
+        as_cmatrix(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         as_cmatrix(np.array([[np.inf, 0], [0, 0]]))
     with pytest.raises(ValueError):
@@ -32,17 +34,6 @@ def test_as_cmatrix_rejects():
 def test_as_cmatrix_noncontiguous():
     a = np.asfortranarray(np.eye(3, dtype=np.complex128))
     assert np.array_equal(as_cmatrix(a), np.eye(3))
-
-
-def test_mat_mul_matches_extended_precision():
-    rng = Rng(3)
-    a = sample_ginibre(6, rng.child(0))
-    b = sample_ginibre(6, rng.child(1))
-    # oracle computed first: 80-bit reference product
-    ref = (a.astype(np.clongdouble) @ b.astype(np.clongdouble)).astype(np.complex128)
-    assert np.abs(mat_mul(a, b) - ref).max() < 1e-14
-    with pytest.raises(DimensionError):
-        mat_mul(a, np.zeros((3, 3)))
 
 
 def test_mat_inv_and_pivots():
@@ -69,10 +60,10 @@ def test_qr_factor_convention():
 def test_norms_and_sigma():
     a = np.diag([3.0, 1.0, 0.5]).astype(np.complex128)
     assert op_norm(a) == pytest.approx(3.0)
-    assert sigma_min(a) == pytest.approx(0.5)
     assert op_norm(np.zeros((2, 2))) == 0.0
+    assert op_norm(np.ones((2, 3))) == pytest.approx(math.sqrt(6.0))
     # shifted sigma at z: distance to spectrum for normal matrices
-    assert sigma_min_shifted(4.0, a) == pytest.approx(1.0)
+    assert sigma_min_shifted_batch([0.0, 4.0], a) == pytest.approx([0.5, 1.0])
 
 
 def test_sigma_min_shifted_batch_matches_loop():
@@ -83,6 +74,36 @@ def test_sigma_min_shifted_batch_matches_loop():
     want = np.array([scipy.linalg.svdvals(z * np.eye(5) - a)[-1] for z in zs])
     got = sigma_min_shifted_batch(zs, a)
     assert np.allclose(got, want, atol=1e-14)
+
+
+def _chunked_sigma_min(zs, a):
+    """Reference: one batched SVD per SHIFT_CHUNK shifts, concatenated."""
+    n = a.shape[0]
+    parts = []
+    for lo in range(0, zs.size, SHIFT_CHUNK):
+        chunk = zs[lo:lo + SHIFT_CHUNK]
+        stack = chunk[:, None, None] * np.eye(n) - a
+        parts.append(np.linalg.svd(stack, compute_uv=False)[:, -1])
+    return np.concatenate(parts)
+
+
+def test_sigma_min_batch_exact_across_chunk_boundary():
+    rng = Rng(6)
+    a = sample_ginibre(3, rng.child(0))
+    g = rng.child(1).standard_normal((2, SHIFT_CHUNK + 37))
+    zs = g[0] + 1j * g[1]
+    assert np.array_equal(sigma_min_shifted_batch(zs, a),
+                          _chunked_sigma_min(zs, a))
+
+
+def test_min_line_sigma_first_minimum_across_chunks():
+    a = sample_ginibre(3, Rng(7))
+    grid = Grid(complex(-1.1, -0.9), 0.25, 8, 8)
+    pts = grid.line_mesh(64)
+    assert pts.size > SHIFT_CHUNK
+    want = _chunked_sigma_min(pts, a)
+    k = int(np.argmin(want))
+    assert min_line_sigma(a, grid, 64) == (want[k], complex(pts[k]))
 
 
 def test_trace_compensated():

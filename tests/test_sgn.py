@@ -6,7 +6,8 @@ import pytest
 
 from conftest import (certified_apollonius_params, oracle_sign,
                       random_nonnormal_matrix, random_normal_matrix)
-from specbisect.errors import PreconditionError
+from specbisect.errors import PreconditionError, SingularMatrixError
+from specbisect.kernels import UNIT_ROUNDOFF
 from specbisect.randmat import Rng
 from specbisect.sgn import (SgnParams, alpha_sequence, apollonius_contains,
                             condition_bounds_from_pseudospectrum,
@@ -228,6 +229,16 @@ def test_sgn_rejects_axis_spectrum():
     a = np.diag([1j, -1j]).astype(complex)  # purely imaginary spectrum
     with pytest.raises(PreconditionError):
         sgn(a, SgnParams(0.01, 0.9, 1e-6))
+
+
+def test_sgn_pivot_between_caps_raises_precondition():
+    # pivot ratio 1/(15u): under sgn's 1/(10u) cap, but inside mat_inv's
+    # n*u singularity threshold at n = 20
+    a = np.eye(20, dtype=complex)
+    a[-1, -1] = 15 * UNIT_ROUNDOFF
+    with pytest.raises(PreconditionError) as exc:
+        sgn(a, SgnParams(0.1, 0.9, 1e-3))
+    assert isinstance(exc.value.__cause__, SingularMatrixError)
 
 
 def test_sgn_early_stop():

@@ -8,9 +8,7 @@ from specbisect.errors import PreconditionError, SplitFailureError
 from specbisect.grids import Grid
 from specbisect.kernels import op_norm
 from specbisect.randmat import Rng, sample_haar_unitary
-from specbisect.sgn import sgn_iteration_count
-from specbisect.split import (eig_count_signed, split,
-                              split_iteration_budget)
+from specbisect.split import eig_count_signed, split
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
@@ -115,20 +113,3 @@ def test_split_failure_without_balanced_line():
     a = np.diag([0.2 + 0.2j, 0.3 + 0.3j]).astype(complex)
     with pytest.raises(SplitFailureError):
         split(a, 0.05, UNIT8, 0.02)
-
-
-def test_budget_example():
-    # oracle first: hand evaluation at eps = 0.5, beta = 0.05/8
-    lg = math.log2
-    eps, beta = 0.5, 0.05 / 8
-    raw = lg(256 / eps) + 3 * lg(lg(256 / eps)) + lg(lg(4 / (beta * eps))) + 7.59
-    assert math.ceil(raw) == 30
-    assert split_iteration_budget(eps, beta) == 30
-    assert split_iteration_budget(0.25, beta) >= 30
-
-
-def test_budget_matches_sgn_count_structure():
-    for eps, beta in ((0.5, 0.004), (0.25, 0.01), (0.1, 0.002)):
-        ours = split_iteration_budget(eps, beta)
-        other = sgn_iteration_count(1 - eps / 256, eps / 4, beta)
-        assert abs(ours - other) <= 2
