@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .kernels import (DEFAULT_PROFILE, BackendProfile, as_cmatrix, op_norm,
-                      sigma_min_shifted_batch)
+                      sigma_min_argmin)
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,18 @@ def kappa_sign_estimate(a, mesh_points: int = 512) -> float:
     rigorous infimum.
     """
     a = as_cmatrix(a)
+    norm_a = op_norm(a)
     evals = np.linalg.eigvals(a)
-    if np.min(np.abs(evals.real)) < 1e3 * np.finfo(float).eps * max(op_norm(a), 1.0):
+    if np.min(np.abs(evals.real)) < 1e3 * np.finfo(float).eps * max(norm_a, 1.0):
         raise PreconditionError("eigenvalue on the imaginary axis; "
                                 "sign function undefined")
-    reach = op_norm(a) + 1.0
+    reach = norm_a + 1.0
     ts = np.linspace(-reach, reach, mesh_points)
-    svals = sigma_min_shifted_batch(1j * ts, a)
-    k = int(np.argmin(svals))
+    k, eps1 = sigma_min_argmin(1j * ts, a)
     lo = ts[max(k - 1, 0)]
     hi = ts[min(k + 1, mesh_points - 1)]
-    ts2 = np.linspace(lo, hi, mesh_points)
-    svals2 = sigma_min_shifted_batch(1j * ts2, a)
-    eps = float(min(svals.min(), svals2.min()))
+    _, eps2 = sigma_min_argmin(1j * np.linspace(lo, hi, mesh_points), a)
+    eps = min(eps1, eps2)
     return 1.0 / (eps * eps)
 
 

@@ -149,7 +149,7 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
 
     cert = shatter(a, ShatterParams(gamma=delta / 8.0), rng.child(0))
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
-    theta = min(params.theta, 1.0 / n) if params.theta else 1.0 / n
+    theta = min(params.theta, 1.0 / n)
     res = eig_shattered(cert.matrix, delta_p, cert.grid, cert.epsilon,
                         theta, n, rng.child(1), params.retry_budget)
     residual, kv = _measure(a, res.v, res.d)

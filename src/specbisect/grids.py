@@ -4,7 +4,8 @@ A grid is an s1 x s2 lattice of omega-sized squares with lower-left corner
 z0. A matrix is shattered with respect to a grid (at level eps) when every
 square holds at most one eigenvalue and the eps-pseudospectrum avoids all
 grid lines. Certification here is brute force: a dense eigensolve plus a
-mesh of smallest-singular-value evaluations along the grid lines, which
+mesh of smallest-singular-value evaluations along the grid lines (exact
+SVDs wherever a Schur-form lower bound cannot rule out the minimum), which
 gives ground truth independent of the solver pipeline.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import PreconditionError
-from .kernels import as_cmatrix, sigma_min_shifted_batch
+from .kernels import as_cmatrix, sigma_min_argmin, sigma_min_shifted_batch
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,11 @@ def pseudospectrum_member(a, eps: float, z: complex) -> bool:
 
 
 def min_line_sigma(a, g: Grid, mesh_per_segment: int = 64):
-    """(min, argmin point) of sigma_min(z*I - A) over the meshed grid lines."""
+    """(min, first argmin point) of sigma_min(z*I - A) over the meshed grid
+    lines, by exact SVD at the points a Schur-form bound cannot rule out."""
     pts = g.line_mesh(mesh_per_segment)
-    svals = sigma_min_shifted_batch(pts, a)
-    k = int(np.argmin(svals))
-    return float(svals[k]), complex(pts[k])
+    k, smin = sigma_min_argmin(pts, a)
+    return smin, complex(pts[k])
 
 
 def certify_shattered(a, g: Grid, eps: float,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CertificationError, PreconditionError
 from .grids import Grid, ShatterCert, eigenvalue_gap, kappa_v_upper
 from .kernels import (UNIT_ROUNDOFF, as_cmatrix, op_norm,
-                      sigma_min_shifted_batch)
+                      sigma_min_candidates, sigma_min_shifted_batch)
 from .randmat import Rng, sample_ginibre
 
 #: retries with fresh randomness before empirical mode gives up
@@ -71,7 +71,9 @@ def windowed_line_margin(x, g: Grid, evals, kappa_v: float,
     min over grid lines of sigma_min(zI - X).
 
     Grid-line points within window = window_mult*omega of some eigenvalue
-    are meshed and evaluated by batched SVD. Points farther away satisfy
+    are meshed; a Schur-form lower bound prunes the mesh to the points that
+    may attain its minimum, and only those are evaluated by batched SVD, so
+    the mesh margin equals the all-SVD minimum. Points farther away satisfy
     sigma_min(zI - X) >= dist(z, spectrum)/kappa_V(X) since the resolvent
     norm is at most kappa_V/dist for diagonalizable X, so the far field is
     covered by window/kappa_V without touching it. This keeps certification
@@ -96,6 +98,7 @@ def windowed_line_margin(x, g: Grid, evals, kappa_v: float,
     if not pts:
         return math.inf, far
     zs = np.unique(np.concatenate(pts))
+    zs = zs[sigma_min_candidates(zs, x)]
     return float(sigma_min_shifted_batch(zs, x).min(initial=math.inf)), far
 
 

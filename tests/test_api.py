@@ -17,6 +17,7 @@ from specbisect import (EigParams, Grid, Rng, SgnParams, ShatterParams,
                         pseudospectrum_member, rurv, sgn, shatter, split)
 from specbisect.calc import kappa_sign_estimate
 from specbisect.errors import DimensionError
+from specbisect.kernels import sigma_min_argmin, sigma_min_candidates
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
@@ -40,6 +41,8 @@ ENTRY_POINTS = {
     "shatter": lambda a: shatter(a, ShatterParams(gamma=0.1), Rng(0)),
     "split": lambda a: split(a, 0.4, UNIT8, 0.02),
     "calc.kappa_sign_estimate": kappa_sign_estimate,
+    "kernels.sigma_min_argmin": lambda a: sigma_min_argmin([0j], a),
+    "kernels.sigma_min_candidates": lambda a: sigma_min_candidates([0j], a),
 }
 
 BAD_INPUTS = {

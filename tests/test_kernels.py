@@ -1,16 +1,24 @@
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from specbisect import calc, kernels
 from specbisect.errors import DimensionError, SingularMatrixError, ZeroColumnError
-from specbisect.grids import Grid, min_line_sigma
-from specbisect.kernels import (DEFAULT_PROFILE, SHIFT_CHUNK, UNIT_ROUNDOFF,
-                                as_cmatrix, lu_pivot_extremes, mat_inv,
-                                op_norm, normalize_columns, qr_factor,
-                                sigma_min_shifted_batch, trace)
+from specbisect.grids import Grid, kappa_v_upper, min_line_sigma
+from specbisect.kernels import (CANDIDATE_SLACK, DEFAULT_PROFILE, SHIFT_CHUNK,
+                                UNIT_ROUNDOFF, _schur_lower_bound, as_cmatrix,
+                                lu_pivot_extremes, mat_inv, op_norm,
+                                normalize_columns, qr_factor,
+                                sigma_min_candidates, sigma_min_shifted_batch,
+                                trace)
 from specbisect.randmat import Rng, sample_ginibre
+
+# the package's `shatter` export is the function; the module is needed here
+shatter = importlib.import_module("specbisect.shatter")
 
 
 def test_profile_defaults():
@@ -104,6 +112,123 @@ def test_min_line_sigma_first_minimum_across_chunks():
     want = _chunked_sigma_min(pts, a)
     k = int(np.argmin(want))
     assert min_line_sigma(a, grid, 64) == (want[k], complex(pts[k]))
+
+
+def _slack(zs, a):
+    """tau of sigma_min_candidates at each shift."""
+    n = a.shape[0]
+    return (CANDIDATE_SLACK * n**1.5 * UNIT_ROUNDOFF
+            * (np.abs(zs) + np.linalg.norm(a)))
+
+
+def _shifts(rng, count, scale=1.5):
+    g = rng.standard_normal((2, count))
+    return scale * (g[0] + 1j * g[1])
+
+
+def _lower_bound(zs, a):
+    t = scipy.linalg.schur(a, output="complex")[0]
+    return _schur_lower_bound(np.asarray(zs, dtype=complex), t)
+
+
+def _near_jordan():
+    g = sample_ginibre(2, Rng(21))
+    return np.array([[0, 1], [0, 0]], dtype=complex) + 1e-12 * g
+
+
+LOWER_BOUND_CASES = {
+    **{f"ginibre-n{n}": (lambda n=n: sample_ginibre(n, Rng(20, (n,))))
+       for n in (1, 2, 5, 24)},
+    "normal": lambda: np.diag([0.5, -0.5j, 0.3 + 0.3j, -0.2]).astype(complex),
+    "near-jordan": _near_jordan,
+}
+
+
+@pytest.mark.parametrize("case", LOWER_BOUND_CASES)
+def test_schur_lower_bound_below_sigma_min(case):
+    a = LOWER_BOUND_CASES[case]()
+    rng = Rng(22)
+    # shifts everywhere, plus some crowding the spectrum
+    evals = np.linalg.eigvals(a)
+    near = (evals[:, None] + 1e-3 * _shifts(rng.child(0), 8)[None, :]).ravel()
+    zs = np.concatenate([_shifts(rng.child(1), 300), near])
+    exact = sigma_min_shifted_batch(zs, a)  # oracle first
+    lower = _lower_bound(zs, a)
+    assert np.all(lower >= 0.0)
+    assert np.all(lower <= exact + _slack(zs, a))
+    # a bound that collapsed to 0 would prune nothing
+    assert np.median(lower / exact) > 0.2
+
+
+def test_candidates_at_exact_diagonal_entry():
+    a = sample_ginibre(6, Rng(23))
+    t = scipy.linalg.schur(a, output="complex")[0]
+    zs = np.concatenate([np.diag(t)[2:4], _shifts(Rng(24), 50)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower = _schur_lower_bound(zs, t)
+        mask = sigma_min_candidates(zs, a)
+    assert np.all(lower[:2] == 0.0)
+    assert mask[:2].all()
+    assert np.all(np.isfinite(lower))
+
+
+def _assert_mask_holds_every_minimizer(zs, a):
+    exact = sigma_min_shifted_batch(zs, a)  # oracle first
+    mask = sigma_min_candidates(zs, a)
+    assert mask.shape == zs.shape and mask.dtype == bool
+    assert mask[np.flatnonzero(exact == exact.min())].all()
+    return mask
+
+
+def test_candidates_hold_first_argmin_on_line_mesh():
+    a = sample_ginibre(24, Rng(25)) / 5.0
+    grid = Grid(complex(-1.13, -1.07), 0.19, 12, 12)
+    pts = grid.line_mesh(16)
+    mask = _assert_mask_holds_every_minimizer(pts, a)
+    # the bound prunes: only a handful of exact SVDs remain
+    assert mask.sum() <= 16
+
+
+def test_candidates_hold_first_argmin_across_chunk_boundary(monkeypatch):
+    a = sample_ginibre(5, Rng(26))
+    lam = np.linalg.eigvals(a)[0]
+    zs = _shifts(Rng(27), 40)
+    zs[17] = lam + 1e-6  # the minimum sits past two chunk boundaries
+    one_chunk = _lower_bound(zs, a)
+    monkeypatch.setattr(kernels, "CANDIDATE_CHUNK_ELEMS", 5 * 7)
+    # chunks of 7 shifts, the last one partial
+    assert np.allclose(_lower_bound(zs, a), one_chunk, rtol=1e-13, atol=0)
+    mask = _assert_mask_holds_every_minimizer(zs, a)
+    assert mask[17]
+    assert sigma_min_candidates(zs[:0], a).shape == (0,)
+
+
+def _all_shifts(zs, a):
+    """sigma_min_candidates that keeps every shift: the all-SVD path."""
+    return np.ones(np.size(zs), dtype=bool)
+
+
+def test_callers_equal_all_svd_path(monkeypatch):
+    rng = Rng(28)
+    x = sample_ginibre(12, rng.child(0)) / 4.0
+    evals = np.linalg.eigvals(x)
+    kv = kappa_v_upper(x)
+    grid = Grid(complex(-1.21, -1.17), 0.2, 13, 13)
+    sign_input = sample_ginibre(8, rng.child(1)) / 4.0 + 0.3 * np.eye(8)
+
+    def run():
+        return (shatter.windowed_line_margin(x, grid, evals, kv,
+                                             mesh_per_segment=8),
+                min_line_sigma(x, grid, 8),
+                calc.kappa_sign_estimate(sign_input))
+
+    pts = grid.line_mesh(8)
+    assert sigma_min_candidates(pts, x).sum() < pts.size // 100  # it prunes
+    fast = run()
+    for module in (shatter, kernels):
+        monkeypatch.setattr(module, "sigma_min_candidates", _all_shifts)
+    assert fast == run()
 
 
 def test_trace_compensated():
