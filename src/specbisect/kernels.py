@@ -7,6 +7,11 @@ of the black-box stable primitives (invert, QR, norms) that the
 higher-level algorithms are built on, together with a profile of their
 stability constants used by the precision calculators.
 
+Inversion is one partial-pivot LU and one triangular solve, both straight
+LAPACK calls (zgetrf, zgetrs): mat_inv factors once, judges singularity by
+a single pivot test on the same factors, and solves against the identity,
+so a Newton sign step costs one factorization.
+
 Shifted smallest singular values come in two strengths:
 sigma_min_shifted_batch is the exact value from one SVD per shift, and
 sigma_min_candidates prunes a shift set to the shifts that may attain its
@@ -90,7 +95,7 @@ def as_cmatrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():  # complex isfinite: both parts finite
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -107,11 +112,15 @@ def _lu(a):
     return lu, piv
 
 
+#: mat_inv calls a matrix singular when min|U_ii| <= max(n, PIVOT_FLOOR) u
+#: max|U_ii|; the floor keeps a relative pivot of at least 10u at small n
+PIVOT_FLOOR = 10
+
+
 def lu_pivot_extremes(a) -> tuple[float, float]:
     """(smallest, largest) |U_ii| from a partial-pivot LU of a.
 
-    The ratio largest/smallest is a cheap growth-based condition estimate,
-    used to detect singularity to working precision before inverting.
+    The ratio largest/smallest is a cheap growth-based condition estimate.
     """
     a = as_cmatrix(a)
     lu, _ = _lu(a)
@@ -120,19 +129,27 @@ def lu_pivot_extremes(a) -> tuple[float, float]:
 
 
 def mat_inv(a) -> np.ndarray:
-    """Invert via partial-pivot LU; error out on singular-to-precision input."""
+    """Invert via one partial-pivot LU; raise if singular to working precision.
+
+    A single pivot test on the factors raises SingularMatrixError when
+    min|U_ii| <= max(n, PIVOT_FLOOR) u max|U_ii| (an exactly zero pivot
+    included). Otherwise LAPACK's getrs, the routine lu_solve wraps, solves
+    against the identity, so the inverse is what lu_solve gives, bit for
+    bit, without scipy's per-call batching wrapper.
+    """
     a = as_cmatrix(a)
     n = a.shape[0]
     lu, piv = _lu(a)
     d = np.abs(np.diag(lu))
     pivot_min = float(d.min())
-    if pivot_min <= n * UNIT_ROUNDOFF * float(d.max()):
+    if pivot_min <= max(n, PIVOT_FLOOR) * UNIT_ROUNDOFF * float(d.max()):
         raise SingularMatrixError(
             f"matrix is singular to working precision (pivot {pivot_min:.3e})",
             pivot=pivot_min,
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=np.complex128),
-                                 check_finite=False)
+    inv, _ = scipy.linalg.lapack.zgetrs(
+        lu, piv, np.eye(n, dtype=np.complex128, order="F"), overwrite_b=True)
+    return inv
 
 
 def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +179,12 @@ def op_norm(a) -> float:
     if not a.any():
         return 0.0
     return float(scipy.linalg.svdvals(a, check_finite=False)[0])
+
+
+def fro_norm(a) -> float:
+    """Frobenius norm by BLAS nrm2: O(n^2), and scaled, so it overflows
+    only when the norm itself exceeds the double range."""
+    return float(scipy.linalg.blas.dznrm2(a.ravel(order="K")))
 
 
 def sigma_min_shifted_batch(zs, a) -> np.ndarray:

@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import PreconditionError, SingularMatrixError
 from .kernels import (DEFAULT_PROFILE, BackendProfile, UNIT_ROUNDOFF,
-                      as_cmatrix, lu_pivot_extremes, mat_inv, op_norm)
+                      as_cmatrix, fro_norm, mat_inv, op_norm)
+# sgn does not call it; the benchmark's trace (bench/spans.py SITES) wraps it
+from .kernels import lu_pivot_extremes  # noqa: F401
 
 
 def _lg(x: float) -> float:
@@ -53,7 +55,13 @@ class SgnParams:
 
 @dataclass
 class SgnTrace:
-    """Per-step diagnostics of one sgn() run."""
+    """Per-step diagnostics of one sgn() run.
+
+    iterate_norms[k] = (||X_k||_F, ||X_k^-1||_F) for each inverted iterate,
+    k = 0 ... n_steps-1 (X_0 = A). Frobenius norms are upper bounds on the
+    2-norms, taken in O(n^2) from the arrays the step already holds, so
+    the trace runs no SVD.
+    """
 
     iterate_norms: list[tuple[float, float]]
     n_steps: int
@@ -107,18 +115,20 @@ def sgn_iteration_count(alpha0: float, eps0: float, beta: float,
     The formula's derivation assumes 1 - alpha0 < 1/100; outside that
     regime it still evaluates (and stays an upper bound in practice).
     Passing s = 1 - alpha0 directly (with alpha0 = None) sidesteps the
-    roundoff of 1 - alpha0 when alpha0 is closer to 1 than one ulp.
+    roundoff of 1 - alpha0 when alpha0 is closer to 1 than one ulp. An
+    alpha0 below u/2 gives s = 1.0, the formula's alpha0 -> 0 limit, and
+    lg 1/(beta*eps0) is a sum of logs, finite where beta*eps0 underflows.
     """
     if s is None:
         if not 0.0 < alpha0 < 1.0:
             raise ValueError("alpha0 must lie in (0, 1)")
         s = 1.0 - alpha0
-    if not 0.0 < s < 1.0:
+    elif not 0.0 < s < 1.0:
         raise ValueError("s = 1 - alpha0 must lie in (0, 1)")
     if not (eps0 > 0.0 and beta > 0.0 and beta * eps0 < 1.0):
         raise ValueError("need eps0, beta > 0 with beta*eps0 < 1")
     raw = (_lg(1.0 / s) + 3.0 * _lg(max(_lg(1.0 / s), 1.0 + 1e-12))
-           + _lg(_lg(1.0 / (beta * eps0))) + 7.59)
+           + _lg(-_lg(beta) - _lg(eps0)) + 7.59)
     return max(1, math.ceil(raw))
 
 
@@ -192,11 +202,13 @@ def required_precision_sgn(n: int, alpha0: float, eps0: float, beta: float,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    n_steps = sgn_iteration_count(alpha0, eps0, beta, s=s)
     if s is None:
         s = 1.0 - alpha0
-    n_steps = sgn_iteration_count(None, eps0, beta, s=s)
+    # lg(alpha0), exact for tiny s; s = 1.0 only when alpha0 < u/2
+    lg_alpha0 = ((math.log1p(-s) if s < 1.0 else math.log(alpha0))
+                 / math.log(2.0))
     expo = 2.0 ** (n_steps + 1) * (profile.c_inv * _lg(max(n, 2)) + 3.0)
-    lg_alpha0 = math.log1p(-s) / math.log(2.0)  # lg(alpha0), exact for tiny s
     log2_u = expo * lg_alpha0 - _lg(2.0 * profile.mu_inv(n) * math.sqrt(n) * n_steps)
     bits = -log2_u
     u_max = 2.0**log2_u if log2_u > -1074 else 0.0
@@ -222,7 +234,11 @@ def sgn(a, params: SgnParams, early_stop: bool = False
     The caller guarantees Lambda_eps0(A) lies in C_alpha0; under that
     contract (and sufficient precision) the result is within beta of
     sgn(A). A numerically singular iterate signals that the contract was
-    violated (the pseudospectrum touched the imaginary axis).
+    violated (the pseudospectrum touched the imaginary axis): mat_inv's
+    pivot test raises, and sgn re-raises it as PreconditionError.
+
+    Each step is one LU and one solve (mat_inv); no SVD runs unless
+    early_stop, which stops once ||X_{k+1} - X_k||_2 <= beta/4.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -235,32 +251,33 @@ def sgn(a, params: SgnParams, early_stop: bool = False
                          params.eps0, params.alpha0, n_steps),
                      required_bits=bits)
 
-    x = a.copy()
-    kappa_cap = 1.0 / (10.0 * UNIT_ROUNDOFF)
-    for k in range(n_steps):
-        try:
-            lo, hi = lu_pivot_extremes(x)
-            if lo == 0.0 or hi / lo > kappa_cap:
-                raise SingularMatrixError("pivot ratio above 1/(10u)", pivot=lo)
-            xinv = mat_inv(x)
-        except SingularMatrixError as err:
-            raise PreconditionError(
-                f"iterate {k} is singular to working precision; the "
-                f"pseudospectrum likely touches the imaginary axis") from err
-        x_next = 0.5 * (x + xinv)
-        if not (np.all(np.isfinite(x_next.real))
-                and np.all(np.isfinite(x_next.imag))):
-            raise PreconditionError(f"non-finite entries at iterate {k + 1}")
-        trace.iterate_norms.append((op_norm(x_next), op_norm_inv_safe(x_next)))
-        if early_stop and op_norm(x_next - x) <= params.beta / 4.0:
-            trace.converged_early = True
+    x = a
+    # an overflowing inverse is caught by the finiteness check below, so
+    # numpy's overflow/invalid warnings on the way there are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            try:
+                xinv = mat_inv(x)
+            except SingularMatrixError as err:
+                raise PreconditionError(
+                    f"iterate {k} is singular to working precision; the "
+                    f"pseudospectrum likely touches the imaginary axis"
+                ) from err
+            x_next = 0.5 * (x + xinv)
+            if not np.isfinite(x_next).all():
+                raise PreconditionError(
+                    f"non-finite entries at iterate {k + 1}")
+            trace.iterate_norms.append((fro_norm(x), fro_norm(xinv)))
+            if early_stop and op_norm(x_next - x) <= params.beta / 4.0:
+                trace.converged_early = True
+                x = x_next
+                break
             x = x_next
-            break
-        x = x_next
     trace.n_steps = len(trace.iterate_norms)
     return x, trace
 
 
+# sgn does not call it; the benchmark's trace (bench/spans.py SITES) wraps it
 def op_norm_inv_safe(x) -> float:
     """||X^-1|| via singular values, inf when singular to precision."""
     svals = np.linalg.svd(np.asarray(x, dtype=np.complex128), compute_uv=False)

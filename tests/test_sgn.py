@@ -1,20 +1,28 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (certified_apollonius_params, oracle_sign,
                       random_nonnormal_matrix, random_normal_matrix)
 from specbisect.errors import PreconditionError, SingularMatrixError
 from specbisect.kernels import UNIT_ROUNDOFF
-from specbisect.randmat import Rng
+from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
 from specbisect.sgn import (SgnParams, alpha_sequence, apollonius_contains,
                             condition_bounds_from_pseudospectrum,
                             eps_floor_sequence, mobius, newton_map,
                             pseudospectral_step, required_precision_sgn,
                             sgn, sgn_error_bound, sgn_iteration_count,
                             sgn_params_from_shattering)
+
+# the package's `sgn` export is the function; the module is needed here
+sgn_module = importlib.import_module("specbisect.sgn")
 
 
 def test_mobius_values():
@@ -232,8 +240,8 @@ def test_sgn_rejects_axis_spectrum():
 
 
 def test_sgn_pivot_between_caps_raises_precondition():
-    # pivot ratio 1/(15u): under sgn's 1/(10u) cap, but inside mat_inv's
-    # n*u singularity threshold at n = 20
+    # relative pivot 15u: above the 10u floor of mat_inv's pivot test, but
+    # at or below its n*u part at n = 20
     a = np.eye(20, dtype=complex)
     a[-1, -1] = 15 * UNIT_ROUNDOFF
     with pytest.raises(PreconditionError) as exc:
@@ -246,3 +254,117 @@ def test_sgn_early_stop():
     s, trace = sgn(a, SgnParams(0.01, 0.99, 1e-10), early_stop=True)
     assert trace.converged_early
     assert np.abs(s - np.diag([1.0, -1.0])).max() <= 1e-10
+
+
+def test_sgn_pivot_floor_small_n():
+    # relative pivot 7u: above n*u at n = 5, so only the 10u floor of
+    # mat_inv's pivot test catches it
+    a = np.eye(5, dtype=complex)
+    a[-1, -1] = 7 * UNIT_ROUNDOFF
+    with pytest.raises(PreconditionError) as exc:
+        sgn(a, SgnParams(0.1, 0.9, 1e-3))
+    assert isinstance(exc.value.__cause__, SingularMatrixError)
+
+
+#: Newton budget of the fast-path comparisons: 28 steps
+FAST_PATH_PARAMS = SgnParams(0.01, 0.99, 1e-6)
+
+
+def _shifted_ginibre(n):
+    return sample_ginibre(n, Rng(n)) - 0.1 * np.eye(n)
+
+
+def _clustered(n):
+    """Q diag(d) Q* - 0.3 I, d cycling through {1, -1, i, -i}: four
+    clusters of n/4 eigenvalues each, none on the imaginary axis."""
+    q = sample_haar_unitary(n, Rng(n))
+    d = np.array([1, -1, 1j, -1j])[np.arange(n) % 4]
+    return (q * d) @ q.conj().T - 0.3 * np.eye(n)
+
+
+FAST_PATH_INPUTS = {
+    "ginibre-n2": lambda: _shifted_ginibre(2),
+    "ginibre-n7": lambda: _shifted_ginibre(7),
+    "ginibre-n24": lambda: _shifted_ginibre(24),
+    "clustered-n12": lambda: _clustered(12),
+}
+
+
+def _reference_sgn(a, n_steps):
+    """The two-factorization Newton loop: (iterates X_0..X_N, inverses of
+    X_0..X_{N-1}) with a pivot check on one LU and lu_solve on another."""
+    x = np.asarray(a, dtype=np.complex128)
+    n = x.shape[0]
+    xs, invs = [x], []
+    for _ in range(n_steps):
+        d = np.abs(np.diag(scipy.linalg.lu_factor(x, check_finite=False)[0]))
+        assert d.max() / d.min() <= 1.0 / (10.0 * UNIT_ROUNDOFF)
+        lu_piv = scipy.linalg.lu_factor(x, check_finite=False)
+        xinv = scipy.linalg.lu_solve(lu_piv, np.eye(n, dtype=np.complex128),
+                                     check_finite=False)
+        x = 0.5 * (x + xinv)
+        xs.append(x)
+        invs.append(xinv)
+    return xs, invs
+
+
+@pytest.mark.parametrize("make", FAST_PATH_INPUTS.values(),
+                         ids=FAST_PATH_INPUTS.keys())
+def test_sgn_equals_two_factorization_loop(make):
+    a = make()
+    s, trace = sgn(a, FAST_PATH_PARAMS)
+    xs, _ = _reference_sgn(a, trace.n_steps)
+    assert trace.n_steps == sgn_iteration_count(0.99, 0.01, 1e-6)
+    assert np.array_equal(s, xs[-1])
+
+
+@pytest.mark.parametrize("make", FAST_PATH_INPUTS.values(),
+                         ids=FAST_PATH_INPUTS.keys())
+def test_sgn_iterate_norms_bound_two_norms(make):
+    a = make()
+    _, trace = sgn(a, FAST_PATH_PARAMS)
+    xs, invs = _reference_sgn(a, trace.n_steps)
+    assert len(trace.iterate_norms) == trace.n_steps
+    for (x_fro, inv_fro), x, xinv in zip(trace.iterate_norms, xs, invs):
+        assert x_fro >= np.linalg.norm(x, 2)
+        assert inv_fro >= np.linalg.norm(xinv, 2)
+
+
+def test_sgn_hot_path_one_lu_no_svd(monkeypatch):
+    calls = {"getrf": 0, "getrs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the sgn hot path")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
+                        counted("getrf", scipy.linalg.lapack.zgetrf))
+    monkeypatch.setattr(scipy.linalg.lapack, "zgetrs",
+                        counted("getrs", scipy.linalg.lapack.zgetrs))
+    for name in ("op_norm", "op_norm_inv_safe", "lu_pivot_extremes"):
+        monkeypatch.setattr(sgn_module, name, forbidden)
+    for make in FAST_PATH_INPUTS.values():
+        calls.update(getrf=0, getrs=0)
+        _, trace = sgn(make(), FAST_PATH_PARAMS)
+        assert calls == {"getrf": trace.n_steps, "getrs": trace.n_steps}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.integers(1, 6).flatmap(lambda n: arrays(
+           np.complex128, (n, n), elements=st.complex_numbers(
+               max_magnitude=4.0, allow_nan=False, allow_infinity=False))),
+       eps0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       alpha0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       beta=st.floats(0.0, 1.0 / 12.0, exclude_min=True, exclude_max=True))
+def test_sgn_finite_or_precondition_error(a, eps0, alpha0, beta):
+    try:
+        s, trace = sgn(a, SgnParams(eps0, alpha0, beta))
+    except PreconditionError:
+        return
+    assert np.isfinite(s).all()
+    assert trace.n_steps == len(trace.iterate_norms) >= 1
