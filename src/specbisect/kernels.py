@@ -174,11 +174,26 @@ def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def op_norm(a) -> float:
-    """Spectral norm (largest singular value)."""
+    """Spectral norm (largest singular value).
+
+    LAPACK's gesdd is called directly with the workspace its size query
+    gives, as svdvals does, so the value is svdvals' bit for bit, without
+    scipy's per-call batching wrapper.
+    """
     a = np.asarray(a, dtype=np.complex128)
     if not a.any():
         return 0.0
-    return float(scipy.linalg.svdvals(a, check_finite=False)[0])
+    m, n = a.shape
+    lwork, info = scipy.linalg.lapack.zgesdd_lwork(m, n, compute_uv=0)
+    if info != 0:
+        raise ValueError(f"zgesdd workspace query failed (info {info})")
+    _, svals, _, info = scipy.linalg.lapack.zgesdd(
+        a, compute_uv=0, lwork=int(lwork.real))
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgesdd")
+    return float(svals[0])
 
 
 def fro_norm(a) -> float:

@@ -4,7 +4,9 @@ The scalar Newton map g(z) = (z + 1/z)/2 squares the Apollonius modulus
 |m(z)| with m(z) = (1-z)/(1+z), so pseudospectra trapped in the Apollonius
 region C_alpha contract toward {-1, +1} at a doubly exponential rate. The
 iteration count and precision formulas here are closed forms derived from
-that geometry; sgn() runs the matrix iteration for exactly that many steps.
+that geometry; sgn() returns what exactly that many steps of the matrix
+iteration give, bit for bit, and stops early once an iterate repeats one
+it has already seen, from which point the rest of the run is known.
 
 lg denotes log base 2 throughout.
 """
@@ -12,15 +14,19 @@ lg denotes log base 2 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError, SingularMatrixError
 from .kernels import (DEFAULT_PROFILE, BackendProfile, UNIT_ROUNDOFF,
-                      as_cmatrix, fro_norm, mat_inv, op_norm)
-# sgn does not call it; the benchmark's trace (bench/spans.py SITES) wraps it
-from .kernels import lu_pivot_extremes  # noqa: F401
+                      as_cmatrix, fro_norm, mat_inv)
+# sgn calls neither; the benchmark's trace (bench/spans.py SITES) wraps both
+from .kernels import lu_pivot_extremes, op_norm  # noqa: F401
+
+#: sgn keeps the last REPEAT_WINDOW iterates to detect a repeat; a cycle
+#: longer than this is not detected and the iteration runs its full count
+REPEAT_WINDOW = 8
 
 
 def _lg(x: float) -> float:
@@ -57,27 +63,32 @@ class SgnParams:
 class SgnTrace:
     """Per-step diagnostics of one sgn() run.
 
-    iterate_norms[k] = (||X_k||_F, ||X_k^-1||_F) for each inverted iterate,
-    k = 0 ... n_steps-1 (X_0 = A). Frobenius norms are upper bounds on the
-    2-norms, taken in O(n^2) from the arrays the step already holds, so
-    the trace runs no SVD.
+    budget is the paper's step count N; n_steps <= budget is the number of
+    steps run. iterate_norms[k] = (||X_k||_F, ||X_k^-1||_F) for each
+    inverted iterate, k = 0 ... n_steps-1 (X_0 = A). Frobenius norms are
+    upper bounds on the 2-norms, taken in O(n^2) from the arrays the step
+    already holds, so the trace runs no SVD. cycle = (j, p) when the
+    iterate X_{j+p}, p > 0 and j + p = n_steps, repeated X_j bit for bit;
+    None when the whole budget ran.
     """
 
     iterate_norms: list[tuple[float, float]]
     n_steps: int
+    budget: int
     predicted_alpha: list[float]
     predicted_eps_floor: list[float]
-    converged_early: bool = False
+    cycle: tuple[int, int] | None = None
     required_bits: float = math.nan
     hardware_bits: float = -_lg(UNIT_ROUNDOFF)
 
     def to_json(self) -> dict:
         return {
             "n_steps": self.n_steps,
+            "budget": self.budget,
+            "cycle": None if self.cycle is None else list(self.cycle),
             "iterate_norms": [list(t) for t in self.iterate_norms],
             "predicted_alpha": self.predicted_alpha,
             "predicted_eps_floor": self.predicted_eps_floor,
-            "converged_early": self.converged_early,
             "required_bits": self.required_bits,
             "hardware_bits": self.hardware_bits,
         }
@@ -227,9 +238,8 @@ def condition_bounds_from_pseudospectrum(alpha: float, eps: float
     return 1.0 / eps, 4.0 * alpha / ((1.0 - alpha) ** 2 * eps)
 
 
-def sgn(a, params: SgnParams, early_stop: bool = False
-        ) -> tuple[np.ndarray, SgnTrace]:
-    """Newton iteration A <- (A + A^-1)/2 for exactly N steps.
+def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
+    """Newton iteration A <- (A + A^-1)/2, equivalent to exactly N steps.
 
     The caller guarantees Lambda_eps0(A) lies in C_alpha0; under that
     contract (and sufficient precision) the result is within beta of
@@ -237,25 +247,45 @@ def sgn(a, params: SgnParams, early_stop: bool = False
     violated (the pseudospectrum touched the imaginary axis): mat_inv's
     pivot test raises, and sgn re-raises it as PreconditionError.
 
-    Each step is one LU and one solve (mat_inv); no SVD runs unless
-    early_stop, which stops once ||X_{k+1} - X_k||_2 <= beta/4.
+    Each step is one LU and one solve (mat_inv), no SVD. A step is a
+    deterministic function of the iterate's bits, so once X_k equals an
+    earlier X_j bit for bit (p = k - j), the iterates cycle with period p
+    and X_N = X_{j + (N-j) mod p}: sgn returns that kept iterate without
+    running the remaining steps. The skipped steps would have inverted and
+    checked only iterates that already passed. Candidates are the last
+    REPEAT_WINDOW iterates, keyed by the Frobenius norm the trace records
+    and confirmed on their bytes, which, unlike ==, tell -0.0 from 0.0.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
     n_steps = sgn_iteration_count(params.alpha0, params.eps0, params.beta)
     _, bits = required_precision_sgn(n, params.alpha0, params.eps0, params.beta)
 
-    trace = SgnTrace(iterate_norms=[], n_steps=n_steps,
+    trace = SgnTrace(iterate_norms=[], n_steps=n_steps, budget=n_steps,
                      predicted_alpha=alpha_sequence(params.alpha0, n_steps),
                      predicted_eps_floor=eps_floor_sequence(
                          params.eps0, params.alpha0, n_steps),
                      required_bits=bits)
 
-    x = a
+    # X_0 may be the result, which must not be the caller's array; order="K"
+    # keeps the memory order, and with it the summation order of fro_norm
+    x = a.copy(order="K")
+    # k -> (||X_k||_F, bytes of X_k, X_k); near convergence most kept
+    # iterates share a norm, and a bytes compare stops at the first mismatch
+    recent: dict[int, tuple[float, bytes, np.ndarray]] = {}
     # an overflowing inverse is caught by the finiteness check below, so
     # numpy's overflow/invalid warnings on the way there are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
+            x_norm, x_bytes = fro_norm(x), x.tobytes()
+            j = next((i for i, (norm, b, _) in recent.items()
+                      if norm == x_norm and b == x_bytes), None)
+            if j is not None:
+                trace.cycle = (j, k - j)
+                x = recent[j + (n_steps - j) % (k - j)][2]
+                break
+            recent[k] = (x_norm, x_bytes, x)
+            recent.pop(k - REPEAT_WINDOW, None)
             try:
                 xinv = mat_inv(x)
             except SingularMatrixError as err:
@@ -263,16 +293,11 @@ def sgn(a, params: SgnParams, early_stop: bool = False
                     f"iterate {k} is singular to working precision; the "
                     f"pseudospectrum likely touches the imaginary axis"
                 ) from err
-            x_next = 0.5 * (x + xinv)
-            if not np.isfinite(x_next).all():
+            x = 0.5 * (x + xinv)
+            if not np.isfinite(x).all():
                 raise PreconditionError(
                     f"non-finite entries at iterate {k + 1}")
-            trace.iterate_norms.append((fro_norm(x), fro_norm(xinv)))
-            if early_stop and op_norm(x_next - x) <= params.beta / 4.0:
-                trace.converged_early = True
-                x = x_next
-                break
-            x = x_next
+            trace.iterate_norms.append((x_norm, fro_norm(xinv)))
     trace.n_steps = len(trace.iterate_norms)
     return x, trace
 

@@ -74,7 +74,7 @@ def test_sgn_command(tmp_path, runner):
                                "--output-matrix", str(sout)])
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
-    assert report["n_steps"] >= 1
+    assert 1 <= report["n_steps"] <= report["budget"]
     from specbisect.mmio import read_matrix
     s = read_matrix(str(sout))
     assert np.linalg.norm(s - np.diag([1.0, -1.0]), 2) <= 1e-8

@@ -74,6 +74,16 @@ def test_norms_and_sigma():
     assert sigma_min_shifted_batch([0.0, 4.0], a) == pytest.approx([0.5, 1.0])
 
 
+def test_op_norm_equals_svdvals_bit_for_bit():
+    rng = np.random.default_rng(6)
+    cases = [sample_ginibre(9, Rng(6)), rng.standard_normal((2, 3)),
+             sample_ginibre(3, Rng(7))[:, :2], np.zeros((3, 3)),
+             np.zeros((2, 3))]
+    for a in cases:
+        want = scipy.linalg.svdvals(np.asarray(a, dtype=np.complex128))[0]
+        assert op_norm(a) == want
+
+
 def test_sigma_min_shifted_batch_matches_loop():
     rng = Rng(5)
     a = sample_ginibre(5, rng)

@@ -249,11 +249,14 @@ def test_sgn_pivot_between_caps_raises_precondition():
     assert isinstance(exc.value.__cause__, SingularMatrixError)
 
 
-def test_sgn_early_stop():
+def test_sgn_stops_at_fixed_point():
     a = np.diag([2.0, -3.0]).astype(complex)
-    s, trace = sgn(a, SgnParams(0.01, 0.99, 1e-10), early_stop=True)
-    assert trace.converged_early
-    assert np.abs(s - np.diag([1.0, -1.0])).max() <= 1e-10
+    s, trace = sgn(a, SgnParams(0.01, 0.99, 1e-10))
+    assert np.array_equal(s, np.diag([1.0, -1.0]))
+    assert trace.cycle[1] == 1
+    assert trace.n_steps < trace.budget
+    xs, _ = _reference_sgn(a, trace.budget)
+    assert _same_bits(s, xs[-1])
 
 
 def test_sgn_pivot_floor_small_n():
@@ -270,8 +273,8 @@ def test_sgn_pivot_floor_small_n():
 FAST_PATH_PARAMS = SgnParams(0.01, 0.99, 1e-6)
 
 
-def _shifted_ginibre(n):
-    return sample_ginibre(n, Rng(n)) - 0.1 * np.eye(n)
+def _shifted_ginibre(n, seed=None):
+    return sample_ginibre(n, Rng(n if seed is None else seed)) - 0.1 * np.eye(n)
 
 
 def _clustered(n):
@@ -308,14 +311,60 @@ def _reference_sgn(a, n_steps):
     return xs, invs
 
 
+def _same_bits(x, y):
+    """Equal shapes and bits; unlike np.array_equal, -0.0 != 0.0."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("make", FAST_PATH_INPUTS.values(),
                          ids=FAST_PATH_INPUTS.keys())
 def test_sgn_equals_two_factorization_loop(make):
     a = make()
     s, trace = sgn(a, FAST_PATH_PARAMS)
-    xs, _ = _reference_sgn(a, trace.n_steps)
-    assert trace.n_steps == sgn_iteration_count(0.99, 0.01, 1e-6)
-    assert np.array_equal(s, xs[-1])
+    n_budget = sgn_iteration_count(0.99, 0.01, 1e-6)
+    xs, _ = _reference_sgn(a, n_budget)
+    assert trace.budget == n_budget
+    assert _same_bits(s, xs[n_budget])
+
+
+#: shifted Ginibre inputs for the three ways sgn ends under
+#: FAST_PATH_PARAMS, pinned by a seeded search over n = 3, 4
+REPEAT_INPUTS = {
+    "fixed-point": lambda: _shifted_ginibre(4, seed=30),
+    "cycle": lambda: _shifted_ginibre(3, seed=23),
+    "no-repeat": lambda: _shifted_ginibre(3, seed=0),
+}
+
+
+@pytest.mark.parametrize("kind", REPEAT_INPUTS)
+def test_sgn_repeat_shortcut_equals_full_loop(kind):
+    a = REPEAT_INPUTS[kind]()
+    s, trace = sgn(a, FAST_PATH_PARAMS)
+    xs, _ = _reference_sgn(a, trace.budget)
+    assert _same_bits(s, xs[-1])
+    if kind == "no-repeat":
+        assert trace.cycle is None
+        assert trace.n_steps == trace.budget
+        return
+    j, p = trace.cycle
+    assert trace.n_steps == j + p < trace.budget
+    assert _same_bits(xs[j + p], xs[j])
+    if kind == "fixed-point":
+        assert p == 1
+    else:
+        # the replay lands on an iterate of the cycle other than X_j
+        assert p >= 2 and (trace.budget - j) % p != 0
+
+
+def test_sgn_repeat_needs_equal_bits(monkeypatch):
+    # with every key equal, each kept iterate is a candidate, and only the
+    # bitwise check keeps sgn from replaying an iterate that did not repeat
+    monkeypatch.setattr(sgn_module, "fro_norm", lambda x: 1.0)
+    for make in REPEAT_INPUTS.values():
+        a = make()
+        s, trace = sgn(a, FAST_PATH_PARAMS)
+        xs, _ = _reference_sgn(a, trace.budget)
+        assert _same_bits(s, xs[-1])
 
 
 @pytest.mark.parametrize("make", FAST_PATH_INPUTS.values(),
@@ -367,4 +416,25 @@ def test_sgn_finite_or_precondition_error(a, eps0, alpha0, beta):
     except PreconditionError:
         return
     assert np.isfinite(s).all()
-    assert trace.n_steps == len(trace.iterate_norms) >= 1
+    assert 1 <= trace.n_steps == len(trace.iterate_norms) <= trace.budget
+
+
+# diag(+-2) plus entries of modulus <= 1, and alpha0 >= 0.99 (N >= 25):
+# most calls converge within the budget and end at a repeat, about one in
+# twenty on a cycle of period >= 2 whose replay is not X_j
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.integers(1, 6).flatmap(lambda n: st.tuples(
+           arrays(np.complex128, (n, n), elements=st.complex_numbers(
+               max_magnitude=1.0, allow_nan=False, allow_infinity=False)),
+           arrays(np.bool_, n))).map(
+               lambda t: t[0] + np.diag(np.where(t[1], 2.0, -2.0))),
+       eps0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       alpha0=st.floats(0.99, 1.0, exclude_max=True),
+       beta=st.floats(0.0, 1.0 / 12.0, exclude_min=True, exclude_max=True))
+def test_sgn_equals_full_loop_property(a, eps0, alpha0, beta):
+    try:
+        s, trace = sgn(a, SgnParams(eps0, alpha0, beta))
+    except PreconditionError:
+        return
+    xs, _ = _reference_sgn(a, trace.budget)
+    assert _same_bits(s, xs[-1])
