@@ -6,7 +6,9 @@ square holds at most one eigenvalue and the eps-pseudospectrum avoids all
 grid lines. Certification here is brute force: a dense eigensolve plus a
 mesh of smallest-singular-value evaluations along the grid lines (exact
 SVDs wherever a Schur-form lower bound cannot rule out the minimum), which
-gives ground truth independent of the solver pipeline.
+gives ground truth independent of the solver pipeline. The solver itself
+certifies from eig_pairs (shatter.windowed_line_margin); the mesh,
+min_line_sigma and certify_shattered are the oracle that cross-checks it.
 """
 
 from __future__ import annotations

@@ -18,6 +18,10 @@ sigma_min_candidates prunes a shift set to the shifts that may attain its
 minimum, from a rigorous lower bound on the complex Schur form, so that a
 caller who needs only the minimum takes exact SVDs at a handful of shifts
 (sigma_min_argmin does both and returns the minimum and where it is).
+No solver path calls the pruned one: it serves the brute-force
+certification oracle (grids.min_line_sigma, certify_shattered) and the
+kappa_sign calculator (calc.kappa_sign_estimate), while the solver's
+shattering certificate comes from the eigendecomposition (shatter).
 """
 
 from __future__ import annotations

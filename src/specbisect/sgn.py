@@ -13,6 +13,7 @@ lg denotes log base 2 throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,17 +70,33 @@ class SgnTrace:
     upper bounds on the 2-norms, taken in O(n^2) from the arrays the step
     already holds, so the trace runs no SVD. cycle = (j, p) when the
     iterate X_{j+p}, p > 0 and j + p = n_steps, repeated X_j bit for bit;
-    None when the whole budget ran.
+    None when the whole budget ran. The predicted sequences and the
+    required precision are derived from (alpha0, eps0, beta, n) when read,
+    so a run whose trace is discarded does not pay for them.
     """
 
     iterate_norms: list[tuple[float, float]]
     n_steps: int
     budget: int
-    predicted_alpha: list[float]
-    predicted_eps_floor: list[float]
+    alpha0: float
+    eps0: float
+    beta: float
+    n: int
     cycle: tuple[int, int] | None = None
-    required_bits: float = math.nan
     hardware_bits: float = -_lg(UNIT_ROUNDOFF)
+
+    @functools.cached_property
+    def predicted_alpha(self) -> list[float]:
+        return alpha_sequence(self.alpha0, self.budget)
+
+    @property
+    def predicted_eps_floor(self) -> list[float]:
+        return _eps_floors(self.eps0, self.predicted_alpha)
+
+    @property
+    def required_bits(self) -> float:
+        return required_precision_sgn(self.n, self.alpha0, self.eps0,
+                                      self.beta)[1]
 
     def to_json(self) -> dict:
         return {
@@ -154,9 +171,13 @@ def alpha_sequence(alpha0: float, n_steps: int) -> list[float]:
 
 def eps_floor_sequence(eps0: float, alpha0: float, n_steps: int) -> list[float]:
     """e_k = eps0 (s^2/50)^k alpha_k, the pseudospectral floor per step."""
-    s = 1.0 - alpha0
-    alphas = alpha_sequence(alpha0, n_steps)
-    return [eps0 * (s * s / 50.0) ** k * alphas[k] for k in range(n_steps + 1)]
+    return _eps_floors(eps0, alpha_sequence(alpha0, n_steps))
+
+
+def _eps_floors(eps0: float, alphas: list[float]) -> list[float]:
+    """eps_floor_sequence from alphas = alpha_sequence(alpha0, n_steps)."""
+    s = 1.0 - alphas[0]
+    return [eps0 * (s * s / 50.0) ** k * alpha for k, alpha in enumerate(alphas)]
 
 
 def sgn_params_from_shattering(eps: float, grid_diag) -> tuple[float, float]:
@@ -259,13 +280,9 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     a = as_cmatrix(a)
     n = a.shape[0]
     n_steps = sgn_iteration_count(params.alpha0, params.eps0, params.beta)
-    _, bits = required_precision_sgn(n, params.alpha0, params.eps0, params.beta)
-
     trace = SgnTrace(iterate_norms=[], n_steps=n_steps, budget=n_steps,
-                     predicted_alpha=alpha_sequence(params.alpha0, n_steps),
-                     predicted_eps_floor=eps_floor_sequence(
-                         params.eps0, params.alpha0, n_steps),
-                     required_bits=bits)
+                     alpha0=params.alpha0, eps0=params.eps0,
+                     beta=params.beta, n=n)
 
     # X_0 may be the result, which must not be the caller's array; order="K"
     # keeps the memory order, and with it the summation order of fro_norm

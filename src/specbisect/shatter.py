@@ -2,10 +2,15 @@
 
 Theoretical mode transcribes the provable parameter choices (which drop
 below hardware precision already for small n; the certificate is flagged
-accordingly and not certified). Empirical mode chooses the square size
-from the measured eigenvalue gap, randomizes the grid offset, and derives
-the shattering parameter from measured resolvent margins along the lines,
-so the certificate is honest at hardware precision.
+accordingly and not certified). Empirical mode takes eigenvalues and left
+and right eigenvectors from one eigensolve, chooses the square size from
+their gap, randomizes the grid offset, and derives the shattering
+parameter from an analytic lower bound on sigma_min(zI - X) that holds at
+every point of every grid line: the eigenvector expansion of the
+resolvent, corrected for the computed pairs' residual and rounding. The
+bound is evaluated on the <= 4n lines next to the eigenvalues, O(n^3) for
+two matrix products and O(n^2) after, so the certificate is rigorous to
+first order in the unit roundoff and costs no SVD.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, PreconditionError
-from .grids import Grid, ShatterCert, eigenvalue_gap, kappa_v_upper
-from .kernels import (UNIT_ROUNDOFF, as_cmatrix, op_norm,
-                      sigma_min_candidates, sigma_min_shifted_batch)
+from .grids import Grid, ShatterCert, eig_pairs, eigenvalue_gap
+from .kernels import UNIT_ROUNDOFF, as_cmatrix, fro_norm, op_norm
+# shatter calls neither; the benchmark's trace (bench/spans.py SITES) wraps both
+from .grids import kappa_v_upper  # noqa: F401
+from .kernels import sigma_min_shifted_batch  # noqa: F401
 from .randmat import Rng, sample_ginibre
 
 #: retries with fresh randomness before empirical mode gives up
@@ -32,15 +39,12 @@ MAX_SQUARES_PER_SIDE = 1 << 22
 class ShatterParams:
     gamma: float
     mode: str = "empirical"
-    mesh_per_segment: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 0.5:
             raise ValueError("gamma must lie in (0, 1/2)")
         if self.mode not in ("theoretical", "empirical"):
             raise ValueError("mode must be 'theoretical' or 'empirical'")
-        if self.mesh_per_segment < 1:
-            raise ValueError("mesh_per_segment must be >= 1")
 
 
 def smoothed_bounds(n: int, gamma: float) -> tuple[float, float, float]:
@@ -64,42 +68,82 @@ def gap_tail_bound(n: int, gamma: float, r: float) -> float:
     return min(1.0, 42.0 * (n / gamma) ** 3.2 * r**1.2 + 2.0 * math.exp(-2.0 * n))
 
 
-def windowed_line_margin(x, g: Grid, evals, kappa_v: float,
-                         window_mult: float = 2.0,
-                         mesh_per_segment: int = 8) -> tuple[float, float]:
-    """(mesh margin, far-field margin): a lower-bound pair for
-    min over grid lines of sigma_min(zI - X).
+def _bracketing_lines(centres, origin: float, omega: float,
+                      count: int) -> np.ndarray:
+    """Positions origin + omega*k, 0 <= k <= count, of the grid lines next
+    to each centre: the last line at or below it and the first above it."""
+    # a quotient rounded across an integer shifts the pair by one line only
+    # for a centre within ulps of a line, and that line, where the sum is
+    # largest, stays in the pair
+    k = np.floor((centres - origin) / omega)
+    k = np.unique(np.clip(np.concatenate([k, k + 1.0]), 0.0, count))
+    return origin + omega * k
 
-    Grid-line points within window = window_mult*omega of some eigenvalue
-    are meshed; a Schur-form lower bound prunes the mesh to the points that
-    may attain its minimum, and only those are evaluated by batched SVD, so
-    the mesh margin equals the all-SVD minimum. Points farther away satisfy
-    sigma_min(zI - X) >= dist(z, spectrum)/kappa_V(X) since the resolvent
-    norm is at most kappa_V/dist for diagonalizable X, so the far field is
-    covered by window/kappa_V without touching it. This keeps certification
-    affordable on grids with millions of squares.
+
+def _line_sums(lines, centres, kappa) -> np.ndarray:
+    """sum_j kappa_j/|l - c_j| for each line position l; inf on a centre."""
+    with np.errstate(divide="ignore"):
+        return (kappa / np.abs(lines[:, np.newaxis] - centres)).sum(axis=1)
+
+
+def windowed_line_margin(x, g: Grid, lam, v, w) -> float:
+    """Lower bound on sigma_min(zI - X) at every point of every grid line,
+    from eigenpairs with unit right vectors v_j and w_j* v_j = 1 (as
+    grids.eig_pairs gives them); -inf when the pairs certify nothing. (It
+    keeps the name under which the benchmark's trace, bench/spans.py
+    SITES, times certification.)
+
+    With F = I - W*V and D = diag(lam), ||F||_F < 1 makes V invertible,
+    V^-1 = (I - F)^-1 W*, so ||V^-1|| <= ||W||_F/(1 - ||F||_F), and
+    X = V D V^-1 + E with E = (XV - VD) V^-1, ||E|| <= r =
+    ||XV - VD||_F ||W||_F/(1 - ||F||_F). Row j of V^-1 is
+    w_j* + e_j* F (I - F)^-1 W*, of norm at most kappa_j = ||w_j|| +
+    ||F||_F ||W||_F/(1 - ||F||_F). Expanding the resolvent,
+    (zI - V D V^-1)^-1 = sum_j v_j (row j of V^-1)/(z - lam_j) (Bauer and
+    Fike 1960; Trefethen and Embree, Spectra and Pseudospectra, 2005), and
+    Weyl's inequality give, for every z on a line L (the whole line, so
+    its grid segment too),
+        sigma_min(zI - X) >= 1/S(L) - r,  S(L) = sum_j kappa_j/dist(lam_j, L).
+    The bound is 1/max_L S(L) - r. On the vertical lines Re z = c,
+    S = sum_j kappa_j/|c - Re lam_j| is convex between consecutive Re lam_j
+    and monotone outside them, so its largest value on grid lines is on a
+    line next to some Re lam_j: only those <= 2n lines, and the <= 2n
+    horizontal lines next to some Im lam_j, are evaluated. The cost is the
+    two n x n products and O(n^2) for the sums, with no array of grid size.
+
+    Rounding, to first order in u, with ||V||_F = sqrt(n):
+      * Products: a complex inner product of length n is accurate to
+        (n+2) u |x|^T |y| (Higham, Accuracy and Stability, Sec. 3.6), and
+        the scaling VD to 2 sqrt(2) u |V||D|; the subtractions round values
+        that are themselves O(u). So the computed residual is within
+        tau_R = (n+2) sqrt(n) u (||X||_F + max|lam_j|) of XV - VD in
+        Frobenius norm, and the computed F within
+        tau_F = (n+2) sqrt(n) u ||W||_F of I - W*V; both are added to the
+        computed norms before use.
+      * Scalars: the norms ||w_j|| (n+1), the unit norm of the computed
+        v_j (n+2), the distances, quotients and n-term line sums (n+1) and
+        the reciprocal (1) are relatively accurate to 3(n+2) u in all, so
+        max S is enlarged by the factor 1 + 3(n+2) u. The rounding of r
+        itself is O(u) relative to a value that is O(u).
     """
-    w = window_mult * g.omega
-    step = g.omega / mesh_per_segment
-    xs = g.vertical_line_xs()
-    ys = g.horizontal_line_ys()
-    pts = []
-    for lam in np.asarray(evals):
-        lr, li = lam.real, lam.imag
-        t = np.arange(li - w, li + w + step, step)
-        for xi in xs[(xs >= lr - w) & (xs <= lr + w)]:
-            keep = (t >= ys[0]) & (t <= ys[-1])
-            pts.append(xi + 1j * t[keep])
-        s = np.arange(lr - w, lr + w + step, step)
-        for yi in ys[(ys >= li - w) & (ys <= li + w)]:
-            keep = (s >= xs[0]) & (s <= xs[-1])
-            pts.append(s[keep] + 1j * yi)
-    far = w / kappa_v
-    if not pts:
-        return math.inf, far
-    zs = np.unique(np.concatenate(pts))
-    zs = zs[sigma_min_candidates(zs, x)]
-    return float(sigma_min_shifted_batch(zs, x).min(initial=math.inf)), far
+    n = x.shape[0]
+    w_norm = fro_norm(w)
+    f = (fro_norm(np.eye(n) - w.conj().T @ v)
+         + (n + 2) * math.sqrt(n) * UNIT_ROUNDOFF * w_norm)
+    if not f < 1.0:
+        return -math.inf
+    resid = (fro_norm(x @ v - v * lam)
+             + (n + 2) * math.sqrt(n) * UNIT_ROUNDOFF
+             * (fro_norm(x) + float(np.abs(lam).max())))
+    inv_bound = w_norm / (1.0 - f)
+    kappa = np.linalg.norm(w, axis=0) + f * inv_bound
+    s_max = max(
+        _line_sums(_bracketing_lines(lam.real, g.x0, g.omega, g.s1),
+                   lam.real, kappa).max(),
+        _line_sums(_bracketing_lines(lam.imag, g.y0, g.omega, g.s2),
+                   lam.imag, kappa).max())
+    return float(1.0 / (s_max * (1.0 + 3.0 * (n + 2) * UNIT_ROUNDOFF))
+                 - resid * inv_bound)
 
 
 def _theoretical_cert(x, n: int, gamma: float, rng: Rng) -> ShatterCert:
@@ -116,10 +160,13 @@ def _theoretical_cert(x, n: int, gamma: float, rng: Rng) -> ShatterCert:
                        below_hardware_precision=unresolvable)
 
 
-def _empirical_cert(x, gamma: float, mesh: int, rng: Rng) -> ShatterCert | None:
+def _empirical_cert(x, gamma: float, rng: Rng) -> ShatterCert | None:
     n = x.shape[0]
-    evals = np.linalg.eigvals(x)
-    gap = eigenvalue_gap(evals) if n >= 2 else 8.0
+    try:
+        lam, v, w = eig_pairs(x)
+    except (PreconditionError, np.linalg.LinAlgError):
+        return None
+    gap = eigenvalue_gap(lam) if n >= 2 else 8.0
     if gap <= 0.0:
         return None
     omega = gap / 4.0
@@ -129,10 +176,7 @@ def _empirical_cert(x, gamma: float, mesh: int, rng: Rng) -> ShatterCert | None:
     u = rng.uniform(size=2)
     z0 = complex(-4.0 - u[0] * omega, -4.0 - u[1] * omega)
     g = Grid(z0, omega, side, side)
-    kv = kappa_v_upper(x)
-    mesh_margin, far_margin = windowed_line_margin(x, g, evals, kv,
-                                                   mesh_per_segment=mesh)
-    margin = min(mesh_margin, far_margin)
+    margin = windowed_line_margin(x, g, lam, v, w)
     if margin <= 1e-8:
         return None
     eps = min(margin / 2.0, 0.999 * omega / 2.0)
@@ -155,7 +199,7 @@ def shatter(a, p: ShatterParams, rng: Rng) -> ShatterCert:
         x = a + p.gamma * sample_ginibre(n, r.child(0))
         if p.mode == "theoretical":
             return _theoretical_cert(x, n, p.gamma, r.child(1))
-        cert = _empirical_cert(x, p.gamma, p.mesh_per_segment, r.child(1))
+        cert = _empirical_cert(x, p.gamma, r.child(1))
         if cert is not None:
             return cert
     raise CertificationError(

@@ -1,4 +1,3 @@
-import importlib
 import math
 import warnings
 
@@ -8,7 +7,7 @@ import scipy.linalg
 
 from specbisect import calc, kernels
 from specbisect.errors import DimensionError, SingularMatrixError, ZeroColumnError
-from specbisect.grids import Grid, kappa_v_upper, min_line_sigma
+from specbisect.grids import Grid, min_line_sigma
 from specbisect.kernels import (CANDIDATE_SLACK, DEFAULT_PROFILE, SHIFT_CHUNK,
                                 UNIT_ROUNDOFF, _schur_lower_bound, as_cmatrix,
                                 lu_pivot_extremes, mat_inv, op_norm,
@@ -16,9 +15,6 @@ from specbisect.kernels import (CANDIDATE_SLACK, DEFAULT_PROFILE, SHIFT_CHUNK,
                                 sigma_min_candidates, sigma_min_shifted_batch,
                                 trace)
 from specbisect.randmat import Rng, sample_ginibre
-
-# the package's `shatter` export is the function; the module is needed here
-shatter = importlib.import_module("specbisect.shatter")
 
 
 def test_profile_defaults():
@@ -222,22 +218,17 @@ def _all_shifts(zs, a):
 def test_callers_equal_all_svd_path(monkeypatch):
     rng = Rng(28)
     x = sample_ginibre(12, rng.child(0)) / 4.0
-    evals = np.linalg.eigvals(x)
-    kv = kappa_v_upper(x)
     grid = Grid(complex(-1.21, -1.17), 0.2, 13, 13)
     sign_input = sample_ginibre(8, rng.child(1)) / 4.0 + 0.3 * np.eye(8)
 
     def run():
-        return (shatter.windowed_line_margin(x, grid, evals, kv,
-                                             mesh_per_segment=8),
-                min_line_sigma(x, grid, 8),
+        return (min_line_sigma(x, grid, 8),
                 calc.kappa_sign_estimate(sign_input))
 
     pts = grid.line_mesh(8)
     assert sigma_min_candidates(pts, x).sum() < pts.size // 100  # it prunes
     fast = run()
-    for module in (shatter, kernels):
-        monkeypatch.setattr(module, "sigma_min_candidates", _all_shifts)
+    monkeypatch.setattr(kernels, "sigma_min_candidates", _all_shifts)
     assert fast == run()
 
 
