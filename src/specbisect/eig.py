@@ -75,12 +75,16 @@ def _measure(a, v, d) -> tuple[float, float]:
 
 
 def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
-                  n_global: int, rng: Rng, retry_budget: int = 2) -> EigResult:
+                  n_global: int, rng: Rng, retry_budget: int = 2,
+                  eigenvalues: np.ndarray | None = None) -> EigResult:
     """Diagonalize a matrix whose eps-pseudospectrum is shattered w.r.t. g.
 
     With probability at least 1 - theta, each returned eigenvalue shares
     its grid square with exactly one true eigenvalue and each returned
-    unit eigenvector is delta-close to an exact one.
+    unit eigenvector is delta-close to an exact one. eigenvalues, when
+    given, lie one per square of g in the squares of A's eigenvalues (the
+    shattering eigensolve's); each split predicts its census from them
+    and hands each block its side's share.
     """
     a = as_cmatrix(a)
     m = a.shape[0]
@@ -97,7 +101,7 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     beta = eta**4 / (20.0 * m) ** 6 * theta**2 / (4.0 * m**8)
     beta = min(max(beta, _BETA_FLOOR), 0.05 / m)
 
-    sr = split(a, eps, g, beta)
+    sr = split(a, eps, g, beta, eigenvalues=eigenvalues)
 
     q_plus = q_minus = None
     last_err: DeflationError | None = None
@@ -118,9 +122,11 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     sub_delta = 4.0 * delta / 5.0
     sub_eps = 4.0 * eps / 5.0
     res_plus = eig_shattered(a_plus, sub_delta, sr.g_plus, sub_eps, theta,
-                             n_global, rng.child(0x51), retry_budget)
+                             n_global, rng.child(0x51), retry_budget,
+                             eigenvalues=sr.eigenvalues_plus)
     res_minus = eig_shattered(a_minus, sub_delta, sr.g_minus, sub_eps, theta,
-                              n_global, rng.child(0x52), retry_budget)
+                              n_global, rng.child(0x52), retry_budget,
+                              eigenvalues=sr.eigenvalues_minus)
 
     v = np.hstack([q_plus @ res_plus.v, q_minus @ res_minus.v])
     v = normalize_columns(v)
@@ -151,7 +157,8 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n)
     res = eig_shattered(cert.matrix, delta_p, cert.grid, cert.epsilon,
-                        theta, n, rng.child(1), params.retry_budget)
+                        theta, n, rng.child(1), params.retry_budget,
+                        eigenvalues=cert.eigenvalues)
     residual, kv = _measure(a, res.v, res.d)
     return EigResult(res.v, res.d, residual, kv, res.square_assignment,
                      res.depth)

@@ -129,6 +129,11 @@ class ShatterCert:
     gamma: float
     certified: bool = True
     below_hardware_precision: bool = False
+    #: eigenvalues of matrix from the eigensolve that certified the grid,
+    #: one per square (None in theoretical mode); eig_shattered predicts
+    #: each split's census from them
+    eigenvalues: np.ndarray | None = field(default=None, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if self.epsilon <= 0.0:

@@ -1,11 +1,13 @@
 """Dense complex-matrix kernels.
 
 All operations work on complex128 ndarrays and are pure: inputs are never
-mutated. Square-matrix kernels validate through as_cmatrix; QR, norms and
-column scaling accept any 2-d array. These are the concrete instantiations
-of the black-box stable primitives (invert, QR, norms) that the
-higher-level algorithms are built on, together with a profile of their
-stability constants used by the precision calculators.
+mutated. Square-matrix kernels validate through as_cmatrix, except
+mat_inv, the per-step kernel of the sign iteration, whose callers pass
+arrays they have validated or built; QR, norms and column scaling accept
+any 2-d array. These are the concrete instantiations of the black-box
+stable primitives (invert, QR, norms) that the higher-level algorithms
+are built on, together with a profile of their stability constants used
+by the precision calculators.
 
 Inversion is one partial-pivot LU and one triangular solve, both straight
 LAPACK calls (zgetrf, zgetrs): mat_inv factors once, judges singularity by
@@ -135,18 +137,25 @@ def lu_pivot_extremes(a) -> tuple[float, float]:
 def mat_inv(a) -> np.ndarray:
     """Invert via one partial-pivot LU; raise if singular to working precision.
 
+    The caller passes a finite square complex128 array: sgn validates its
+    input once and checks every iterate for finiteness, and eig._measure
+    inverts an eigenvector matrix it assembled, so mat_inv does not run
+    as_cmatrix on every Newton step. A NaN that reaches the pivots still
+    raises ValueError.
+
     A single pivot test on the factors raises SingularMatrixError when
     min|U_ii| <= max(n, PIVOT_FLOOR) u max|U_ii| (an exactly zero pivot
     included). Otherwise LAPACK's getrs, the routine lu_solve wraps, solves
     against the identity, so the inverse is what lu_solve gives, bit for
     bit, without scipy's per-call batching wrapper.
     """
-    a = as_cmatrix(a)
     n = a.shape[0]
     lu, piv = _lu(a)
     d = np.abs(np.diag(lu))
-    pivot_min = float(d.min())
-    if pivot_min <= max(n, PIVOT_FLOOR) * UNIT_ROUNDOFF * float(d.max()):
+    pivot_min, pivot_max = float(d.min()), float(d.max())
+    if math.isnan(pivot_max):  # max propagates a NaN pivot
+        raise ValueError("matrix contains non-finite entries")
+    if pivot_min <= max(n, PIVOT_FLOOR) * UNIT_ROUNDOFF * pivot_max:
         raise SingularMatrixError(
             f"matrix is singular to working precision (pivot {pivot_min:.3e})",
             pivot=pivot_min,

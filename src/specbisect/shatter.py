@@ -180,7 +180,7 @@ def _empirical_cert(x, gamma: float, rng: Rng) -> ShatterCert | None:
     if margin <= 1e-8:
         return None
     eps = min(margin / 2.0, 0.999 * omega / 2.0)
-    return ShatterCert(x, g, eps, gamma, certified=True)
+    return ShatterCert(x, g, eps, gamma, certified=True, eigenvalues=lam)
 
 
 def shatter(a, p: ShatterParams, rng: Rng) -> ShatterCert:

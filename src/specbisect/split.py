@@ -5,12 +5,21 @@ Tr sgn(A - hI) = n_plus - n_minus, an integer recovered by rounding the
 computed trace. The count is nonincreasing in h, so a balanced grid line
 is found by binary search; when no vertical line balances, the matrix is
 rotated by i and the horizontal lines are searched as vertical ones.
+
+Shattering puts one eigenvalue in each grid square, so when the node's
+eigenvalues are known (the shattering eigensolve's, carried down the
+recursion by side), the census at every grid line is predicted before any
+sign iteration runs. The search then runs on the predicted counts and the
+sign function is computed once, at the line it lands on: the line is kept
+only if the rounded Tr sgn there equals the prediction, which certifies
+it exactly as a probe would. On a mismatch the search runs again on
+measured counts, probing with Tr sgn at every step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +39,17 @@ class SplitResult:
     n_minus: int
     shift_used: float
     orientation: str
+    #: predicted census n_plus - n_minus at the chosen line, None when the
+    #: node's eigenvalues were not given
+    census_predicted: int | None = None
+    #: sign iterations run: 1 when the prediction held at the landing line
+    sgn_calls: int = 0
+    #: the given eigenvalues on each side of the line, None for a side
+    #: whose count differs from n_plus (n_minus)
+    eigenvalues_plus: np.ndarray | None = field(default=None, repr=False,
+                                                compare=False)
+    eigenvalues_minus: np.ndarray | None = field(default=None, repr=False,
+                                                 compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -37,6 +57,8 @@ class SplitResult:
             "n_minus": self.n_minus,
             "shift_used": self.shift_used,
             "orientation": self.orientation,
+            "census_predicted": self.census_predicted,
+            "sgn_calls": self.sgn_calls,
             "g_plus": self.g_plus.to_json(),
             "g_minus": self.g_minus.to_json(),
             "p_plus_norm": op_norm(self.p_plus),
@@ -76,40 +98,31 @@ def eig_count_signed(a, h: float, eps: float, g: Grid, beta: float) -> int:
     return _census(t)
 
 
-def _search_vertical(a, eps: float, g: Grid, beta: float, threshold: int):
-    """Binary search over interior vertical lines for a balanced census.
+def _search_vertical(n_lines: int, threshold: int, census):
+    """Binary search over the interior vertical lines 1 .. n_lines for a
+    balanced census.
 
-    Returns (k, S, count) or None. Uses monotonicity of the signed count
-    in the line abscissa.
+    census(k) is the signed count at line k, nonincreasing in k. Returns
+    (k, census(k)) or None.
     """
-    n_lines = g.s1 - 1
     if n_lines < 1:
         return None
-    cache: dict[int, tuple[np.ndarray, int]] = {}
-
-    def probe(k: int):
-        if k not in cache:
-            h = g.x0 + k * g.omega
-            s, t = _signed_sign_trace(a, h, eps, g, beta)
-            cache[k] = (s, _census(t))
-        return cache[k]
-
     lo, hi = 1, n_lines
-    s_lo, c_lo = probe(lo)
+    c_lo = census(lo)
     if abs(c_lo) <= threshold:
-        return lo, s_lo, c_lo
+        return lo, c_lo
     if c_lo < -threshold:
         return None
-    s_hi, c_hi = probe(hi)
+    c_hi = census(hi)
     if abs(c_hi) <= threshold:
-        return hi, s_hi, c_hi
+        return hi, c_hi
     if c_hi > threshold:
         return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        s_m, c_m = probe(mid)
+        c_m = census(mid)
         if abs(c_m) <= threshold:
-            return mid, s_m, c_m
+            return mid, c_m
         if c_m > threshold:
             lo = mid
         else:
@@ -117,7 +130,22 @@ def _search_vertical(a, eps: float, g: Grid, beta: float, threshold: int):
     return None
 
 
-def split(a, eps: float, g: Grid, beta: float) -> SplitResult:
+def _search(grids: dict, threshold: int, census):
+    """(orientation, k, count) of the balanced line the binary search finds
+    among the vertical lines, else among the horizontal ones (searched as
+    vertical lines of the rotated grid); None when neither balances.
+    census(orientation, k) is the signed count at line k of grids[orientation].
+    """
+    for orientation, grid in grids.items():
+        found = _search_vertical(grid.s1 - 1, threshold,
+                                 lambda k: census(orientation, k))
+        if found is not None:
+            return orientation, *found
+    return None
+
+
+def split(a, eps: float, g: Grid, beta: float,
+          eigenvalues: np.ndarray | None = None) -> SplitResult:
     """Bisect the spectrum along a balanced grid line.
 
     Requires the eps-pseudospectrum of A shattered with respect to g,
@@ -125,6 +153,13 @@ def split(a, eps: float, g: Grid, beta: float) -> SplitResult:
     P_plus/P_minus = (S +- I)/2, the subgrids on each side of the winning
     line and the eigenvalue counts. Balance: |n_plus - n_minus| <= 3n/5
     for n > 5; for n <= 5 any line with both sides nonempty is accepted.
+
+    eigenvalues, when given (one per square of g, as shattering puts
+    them), predict the census at every line: the search runs on the
+    predictions and Tr sgn is computed only at the line it lands on, which
+    is kept if the rounded trace equals the prediction. Otherwise, or when
+    there are not n of them, the search probes Tr sgn at every line it
+    visits. Either way the kept line's census is the measured one.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -139,31 +174,60 @@ def split(a, eps: float, g: Grid, beta: float) -> SplitResult:
         raise PreconditionError("grid side lengths must be at most 8")
 
     threshold = math.floor(3 * n / 5) if n > 5 else n - 2
+    # horizontal lines of g are the vertical lines of g rotated by i
+    grids = {"vertical": g, "horizontal": g.rotated()}
+    mats = {"vertical": a, "horizontal": 1j * a}
+    lam = mus = None
+    if eigenvalues is not None and len(eigenvalues) == n:
+        lam = np.asarray(eigenvalues, dtype=np.complex128)
+        mus = {"vertical": lam, "horizontal": 1j * lam}
+    signs: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
 
-    found = _search_vertical(a, eps, g, beta, threshold)
-    if found is not None:
-        k, s, c = found
-        g_minus, g_plus = g.split_vertical(k)
-        shift = g.x0 + k * g.omega
-        orientation = "vertical"
-    else:
-        b = 1j * a
-        gr = g.rotated()
-        found = _search_vertical(b, eps, gr, beta, threshold)
-        if found is None:
-            raise SplitFailureError(
-                "no balanced grid line in either orientation; the "
-                "shattering precondition is likely violated")
-        k, s, c = found
-        gm_r, gp_r = gr.split_vertical(k)
-        g_minus, g_plus = gm_r.rotated_back(), gp_r.rotated_back()
-        shift = gr.x0 + k * gr.omega
-        orientation = "horizontal"
+    def line(orientation: str, k: int) -> float:
+        grid = grids[orientation]
+        return grid.x0 + k * grid.omega
+
+    def measure(orientation: str, k: int) -> int:
+        if (orientation, k) not in signs:
+            s, t = _signed_sign_trace(mats[orientation], line(orientation, k),
+                                      eps, grids[orientation], beta)
+            signs[orientation, k] = s, _census(t)
+        return signs[orientation, k][1]
+
+    def predict(orientation: str, k: int) -> int:
+        return int(np.sign(mus[orientation].real - line(orientation, k)).sum())
+
+    found = None
+    if mus is not None:
+        landing = _search(grids, threshold, predict)
+        if landing is not None and measure(*landing[:2]) == landing[2]:
+            found = landing
+    if found is None:
+        found = _search(grids, threshold, measure)
+    if found is None:
+        raise SplitFailureError(
+            "no balanced grid line in either orientation; the "
+            "shattering precondition is likely violated")
+
+    orientation, k, c = found
+    shift = line(orientation, k)
+    g_minus, g_plus = grids[orientation].split_vertical(k)
+    if orientation == "horizontal":
+        g_minus, g_plus = g_minus.rotated_back(), g_plus.rotated_back()
 
     n_plus = (n + c) // 2
     n_minus = n - n_plus
+    s = signs[orientation, k][0]
     eye = np.eye(n, dtype=np.complex128)
     p_plus = 0.5 * (s + eye)
     p_minus = 0.5 * (eye - s)
+    census_predicted = lam_plus = lam_minus = None
+    if mus is not None:
+        census_predicted = predict(orientation, k)
+        side = mus[orientation].real
+        lam_plus, lam_minus = lam[side > shift], lam[side < shift]
+        lam_plus = lam_plus if len(lam_plus) == n_plus else None
+        lam_minus = lam_minus if len(lam_minus) == n_minus else None
     return SplitResult(p_plus, p_minus, g_plus, g_minus, n_plus, n_minus,
-                       float(shift), orientation)
+                       float(shift), orientation, census_predicted,
+                       len(signs), lam_plus, lam_minus)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from specbisect.errors import PreconditionError
 from specbisect.grids import Grid
 from specbisect.kernels import op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
+from specbisect.shatter import ShatterParams, shatter
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
@@ -150,3 +152,61 @@ def test_precision_flags_theoretical_regime():
     eps = 0.5 * 0.1**5 / (16 * 10**9)
     bits = eig_precision_requirement(10, eps, 0.1, 0.1)
     assert bits > 53
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """A list that grows by one on each call of module.name."""
+    mod = importlib.import_module(module)
+    original, calls = getattr(mod, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_backward_runs_one_sgn_per_split(monkeypatch, rng):
+    # the input of test_depth_bound
+    n = 16
+    g = sample_ginibre(n, rng)
+    a = g / op_norm(g)
+    splits = _count_calls(monkeypatch, "specbisect.eig", "split")
+    sgns = _count_calls(monkeypatch, "specbisect.split", "sgn")
+    res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n),
+                       rng.child(5))
+    assert res.residual <= 0.05
+    assert len(splits) == len(sgns) == n - 1  # a binary tree with n leaves
+
+
+def test_guided_recursion_equals_probing_recursion(monkeypatch, rng):
+    n = 16
+    g = sample_ginibre(n, rng)
+    cert = shatter(g / op_norm(g), ShatterParams(gamma=0.05 / 8), rng.child(0))
+    assert len(cert.eigenvalues) == n
+    sgns = _count_calls(monkeypatch, "specbisect.split", "sgn")
+    args = (cert.matrix, 1e-6, cert.grid, cert.epsilon, 1 / n, n, Rng(9))
+    guided = eig_shattered(*args, eigenvalues=cert.eigenvalues)
+    guided_calls = len(sgns)
+    probed = eig_shattered(*args)
+    assert guided_calls == n - 1 < len(sgns) - guided_calls
+    for field in ("v", "d"):
+        assert np.array_equal(getattr(guided, field), getattr(probed, field))
+    assert (guided.residual, guided.kappa_v, guided.depth,
+            guided.square_assignment) == \
+        (probed.residual, probed.kappa_v, probed.depth,
+         probed.square_assignment)
+
+
+def test_theoretical_certificate_solves_by_probing(monkeypatch):
+    n = 4
+    a = sample_ginibre(n, Rng(n))
+    cert = shatter(a / op_norm(a), ShatterParams(gamma=0.2, mode="theoretical"),
+                   Rng(1))
+    assert cert.eigenvalues is None
+    sgns = _count_calls(monkeypatch, "specbisect.split", "sgn")
+    res = eig_shattered(cert.matrix, 1e-3, cert.grid, cert.epsilon, 1 / n, n,
+                        Rng(2), eigenvalues=cert.eigenvalues)
+    assert res.residual <= 1e-10
+    assert len(sgns) > n - 1  # the search probed lines it did not keep

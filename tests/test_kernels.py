@@ -48,6 +48,9 @@ def test_mat_inv_and_pivots():
     assert 0 < lo <= hi
     with pytest.raises(SingularMatrixError):
         mat_inv(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # callers validate, but a NaN that reaches the pivots is not inverted
+    with pytest.raises(ValueError):
+        mat_inv(np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_qr_factor_convention():

@@ -70,6 +70,21 @@ def test_empirical_certified(rng):
     assert len(set(squares)) == len(squares)
 
 
+def test_empirical_cert_carries_its_eigenvalues(rng):
+    a = np.zeros((8, 8), dtype=complex)
+    cert = shatter(a, ShatterParams(gamma=0.1), rng)
+    # one per square, in the squares of the dense oracle's eigenvalues
+    squares = sorted(cert.grid.square_index(complex(z))
+                     for z in cert.eigenvalues)
+    assert squares == sorted(cert.grid.square_index(complex(z))
+                             for z in np.linalg.eigvals(cert.matrix))
+    assert len(set(squares)) == 8
+    assert "eigenvalues" not in repr(cert)
+    assert "eigenvalues" not in cert.to_json()
+    theory = shatter(a, ShatterParams(gamma=0.1, mode="theoretical"), rng)
+    assert theory.eigenvalues is None
+
+
 def test_empirical_recertifies_full_mesh():
     # well-separated spectrum keeps the grid small enough for a full
     # brute-force recheck of the windowed certificate

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_projector
 from specbisect.errors import PreconditionError, SplitFailureError
@@ -113,3 +115,146 @@ def test_split_failure_without_balanced_line():
     a = np.diag([0.2 + 0.2j, 0.3 + 0.3j]).astype(complex)
     with pytest.raises(SplitFailureError):
         split(a, 0.05, UNIT8, 0.02)
+
+
+def _nonnormal_ten():
+    centers = np.array([-2.5 + 0.5j, -2.5 - 1.5j, -1.5 + 2.5j, -0.5 - 0.5j,
+                        0.5 + 1.5j, 1.5 - 2.5j, 2.5 + 0.5j, 2.5 - 0.5j,
+                        -0.5 - 2.5j, 0.5 + 2.5j])
+    e = Rng(12345).standard_normal((2, 10, 10))
+    v = np.eye(10) + 0.15 * (e[0] + 1j * e[1]) / math.sqrt(20)
+    return v @ np.diag(centers) @ np.linalg.inv(v), centers, 0.2, 1e-3
+
+
+def _haar_eight():
+    # the centres of test_count_matches_oracle_census, with the two outside
+    # the disc |z| <= 4 that split requires moved in by one square
+    centers = np.array([-3.5 + 0.5j, -1.5 - 0.5j, -0.5 + 1.5j, 0.5 - 2.5j,
+                        1.5 + 0.5j, 2.5 - 1.5j, 2.5 + 2.5j, -2.5 + 2.5j])
+    u = sample_haar_unitary(8, Rng(12345))
+    return u @ np.diag(centers) @ u.conj().T, centers, 0.4, 0.05 / 8
+
+
+def _diag(evals, eps, beta):
+    evals = np.array(evals, dtype=complex)
+    return lambda: (np.diag(evals), evals, eps, beta)
+
+
+#: the matrices of the tests above with their eigenvalues, eps and beta
+GUIDED_CASES = {
+    "two-by-two": _diag([-2.5 - 0.5j, 3.5 + 0.5j], 0.4, 0.02),
+    "three-diag": _diag([1.5 + 0.5j, 2.5 + 0.5j, 3.5 + 0.5j], 0.4, 0.015),
+    "horizontal": _diag([0.5 + 0.5j, 0.5 - 0.5j, 0.5 + 1.5j, 0.5 - 1.5j],
+                        0.4, 0.0125),
+    "haar-eight": _haar_eight,
+    "nonnormal-ten": _nonnormal_ten,
+}
+
+
+def _assert_same_split(got, want):
+    assert np.array_equal(got.p_plus, want.p_plus)
+    assert np.array_equal(got.p_minus, want.p_minus)
+    assert (got.shift_used, got.orientation, got.n_plus, got.n_minus,
+            got.g_plus, got.g_minus) == \
+        (want.shift_used, want.orientation, want.n_plus, want.n_minus,
+         want.g_plus, want.g_minus)
+
+
+@pytest.mark.parametrize("make", GUIDED_CASES.values(), ids=GUIDED_CASES)
+def test_guided_split_equals_probing_split(make):
+    a, evals, eps, beta = make()
+    probed = split(a, eps, UNIT8, beta)
+    guided = split(a, eps, UNIT8, beta, eigenvalues=evals)
+    _assert_same_split(guided, probed)
+    assert guided.sgn_calls == 1 < probed.sgn_calls
+    assert guided.census_predicted == guided.n_plus - guided.n_minus
+    assert probed.census_predicted is None
+    # each child gets its own side's eigenvalues
+    side = evals.real if guided.orientation == "vertical" else -evals.imag
+    assert set(guided.eigenvalues_plus) == set(evals[side > guided.shift_used])
+    assert set(guided.eigenvalues_minus) == set(evals[side < guided.shift_used])
+    for lam in guided.eigenvalues_plus:
+        assert guided.g_plus.square_index(complex(lam)) is not None
+    for lam in guided.eigenvalues_minus:
+        assert guided.g_minus.square_index(complex(lam)) is not None
+
+
+def test_wrong_prediction_falls_back_to_probing():
+    a, evals, eps, beta = GUIDED_CASES["horizontal"]()
+    probed = split(a, eps, UNIT8, beta)
+    assert (probed.orientation, probed.shift_used) == ("horizontal", 0.0)
+    # 0.5 - 1.5j moved across the line Im z = 0 the search lands on: the
+    # prediction there reads -2, the measured census 0
+    wrong = np.where(evals == 0.5 - 1.5j, 0.5 + 2.5j, evals)
+    got = split(a, eps, UNIT8, beta, eigenvalues=wrong)
+    # the probing search runs, reusing the landing line's sgn
+    assert got.sgn_calls == probed.sgn_calls > 1
+    assert got.census_predicted == -2 != got.n_plus - got.n_minus
+    _assert_same_split(got, probed)
+    # a side whose prediction disagrees with the measured count gets None
+    assert got.eigenvalues_plus is None and got.eigenvalues_minus is None
+
+
+def test_eigenvalue_count_mismatch_probes():
+    a, evals, eps, beta = GUIDED_CASES["haar-eight"]()
+    probed = split(a, eps, UNIT8, beta)
+    got = split(a, eps, UNIT8, beta, eigenvalues=evals[:-1])
+    _assert_same_split(got, probed)
+    assert got.sgn_calls == probed.sgn_calls
+    assert got.census_predicted is None and got.eigenvalues_plus is None
+
+
+def test_split_json_reports_prediction_and_sgn_calls():
+    a, evals, eps, beta = GUIDED_CASES["two-by-two"]()
+    report = split(a, eps, UNIT8, beta, eigenvalues=evals).to_json()
+    assert (report["census_predicted"], report["sgn_calls"]) == (0, 1)
+    report = split(a, eps, UNIT8, beta).to_json()
+    assert report["census_predicted"] is None and report["sgn_calls"] >= 1
+
+
+#: square centres of UNIT8 inside the disc |z| <= 4 that split requires
+CENTRES = [complex(x, y) for x in np.arange(-3.5, 4.0) for y in
+           np.arange(-3.5, 4.0) if abs(complex(x, y)) <= 4.0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(evals=st.lists(st.sampled_from(CENTRES), min_size=2, max_size=8,
+                      unique=True),
+       moves=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(CENTRES)),
+                      min_size=1, max_size=3),
+       drop=st.booleans())
+def test_corrupted_prediction_property(evals, moves, drop):
+    """Whatever the prediction, split keeps only a line whose measured
+    census it has: the probing split's, unless the corrupted search lands
+    on a line where the prediction is right."""
+    m = len(evals)
+    evals = np.array(evals)
+    u = sample_haar_unitary(m, Rng(m))
+    a = u @ np.diag(evals) @ u.conj().T
+    beta = 0.05 / 8
+    wrong = evals.copy()
+    for j, z in moves:
+        wrong[j % m] = z
+    if drop:
+        wrong = wrong[:-1]
+    try:
+        probed = split(a, 0.4, UNIT8, beta)
+    except SplitFailureError:
+        for guess in (evals, wrong):
+            with pytest.raises(SplitFailureError):
+                split(a, 0.4, UNIT8, beta, eigenvalues=guess)
+        return
+    _assert_same_split(split(a, 0.4, UNIT8, beta, eigenvalues=evals), probed)
+    got = split(a, 0.4, UNIT8, beta, eigenvalues=wrong)
+    measured = got.n_plus - got.n_minus
+    if got.census_predicted != measured:
+        _assert_same_split(got, probed)
+        return
+    # the prediction holds at the kept line, which its Tr sgn certified
+    h = got.shift_used
+    side = evals.real if got.orientation == "vertical" else -evals.imag
+    assert measured == int(np.sign(side - h).sum())
+    assert abs(measured) <= (math.floor(3 * m / 5) if m > 5 else m - 2)
+    want = oracle_projector(a, lambda z: (z if got.orientation == "vertical"
+                                          else 1j * z).real > h)
+    assert np.linalg.norm(got.p_plus - want, 2) <= beta
