@@ -8,7 +8,7 @@ from .eig import (EigParams, EigResult, eig_backward, eig_forward,
                   kappa_eig_measure)
 from .grids import (CertResult, Grid, ShatterCert, certify_shattered,
                     kappa_v_upper, min_gap, pseudospectrum_member)
-from .kernels import BackendProfile, DEFAULT_PROFILE, UNIT_ROUNDOFF
+from .kernels import UNIT_ROUNDOFF
 from .randmat import (Rng, ginibre_sigma_tail, haar_corner_sigma_min_cdf,
                       sample_ginibre, sample_haar_unitary)
 from .sgn import (SgnParams, SgnTrace, apollonius_contains, mobius,
@@ -23,16 +23,15 @@ from .deflate import RurvResult, deflate, rurv
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendProfile", "CertResult", "DEFAULT_PROFILE", "EigParams",
-    "EigResult", "Grid", "Rng", "RurvResult", "SgnParams", "SgnTrace",
-    "ShatterCert", "ShatterParams", "SplitResult", "UNIT_ROUNDOFF",
-    "apollonius_contains", "certify_shattered", "deflate", "eig_backward",
-    "eig_count_signed", "eig_forward", "eig_precision_requirement",
-    "eig_shattered", "gap_tail_bound", "ginibre_sigma_tail",
-    "haar_corner_sigma_min_cdf", "kappa_eig_measure", "kappa_v_upper",
-    "min_gap", "mobius", "newton_map", "pseudospectrum_member",
-    "required_precision_sgn", "rurv", "sample_ginibre",
-    "sample_haar_unitary", "sgn", "sgn_error_bound",
+    "CertResult", "EigParams", "EigResult", "Grid", "Rng", "RurvResult",
+    "SgnParams", "SgnTrace", "ShatterCert", "ShatterParams", "SplitResult",
+    "UNIT_ROUNDOFF", "apollonius_contains", "certify_shattered", "deflate",
+    "eig_backward", "eig_count_signed", "eig_forward",
+    "eig_precision_requirement", "eig_shattered", "gap_tail_bound",
+    "ginibre_sigma_tail", "haar_corner_sigma_min_cdf", "kappa_eig_measure",
+    "kappa_v_upper", "min_gap", "mobius", "newton_map",
+    "pseudospectrum_member", "required_precision_sgn", "rurv",
+    "sample_ginibre", "sample_haar_unitary", "sgn", "sgn_error_bound",
     "sgn_iteration_count", "sgn_params_from_shattering", "shatter",
     "smoothed_bounds", "split",
 ]

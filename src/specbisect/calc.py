@@ -15,8 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .kernels import (DEFAULT_PROFILE, BackendProfile, as_cmatrix, op_norm,
+from .kernels import (C_INV, MU_INV, UNIT_ROUNDOFF, as_cmatrix, op_norm,
                       sigma_min_argmin)
+
+#: points per mesh pass of kappa_sign_estimate
+KAPPA_SIGN_MESH = 512
 
 
 @dataclass(frozen=True)
@@ -35,10 +38,10 @@ class FormulaReport:
         }
 
 
-def prelim_n_bound(t: float, c: float, verify: bool = True) -> int:
+def prelim_n_bound(t: float, c: float) -> int:
     """Minimal j with (1-t)^(2^j)/t^(2j) < c for 0 < t < 1/800, 0 < c < 1/2.
 
-    j = ceil(lg 1/t + 2 lg lg 1/t + lg lg 1/c + 1.62). Verification
+    j = ceil(lg 1/t + 2 lg lg 1/t + lg lg 1/c + 1.62). A self-check
     evaluates the target expression in log-space and asserts the bound.
     """
     if not 0.0 < t < 1.0 / 800.0:
@@ -47,27 +50,25 @@ def prelim_n_bound(t: float, c: float, verify: bool = True) -> int:
         raise PreconditionError("c must lie in (0, 1/2)")
     j = math.ceil(math.log2(1.0 / t) + 2.0 * math.log2(math.log2(1.0 / t))
                   + math.log2(math.log2(1.0 / c)) + 1.62)
-    if verify:
-        lg_val = 2.0**j * math.log2(1.0 - t) - 2.0 * j * math.log2(t)
-        if lg_val >= math.log2(c):
-            raise PreconditionError(
-                f"formula value j={j} fails its own inequality (internal)")
+    lg_val = 2.0**j * math.log2(1.0 - t) - 2.0 * j * math.log2(t)
+    if lg_val >= math.log2(c):
+        raise PreconditionError(
+            f"formula value j={j} fails its own inequality (internal)")
     return j
 
 
 def one_step_error_bound(norm_a: float, norm_ainv: float, kappa: float,
-                         n: int, profile: BackendProfile = DEFAULT_PROFILE
-                         ) -> float:
+                         n: int) -> float:
     """Additive error of one finite-precision Newton step:
     (||A|| + ||A^-1|| + mu_inv(n) kappa^(c_inv lg n) ||A^-1||) * 4 sqrt(n) u.
     The kappa power is evaluated in log-space.
     """
     if min(norm_a, norm_ainv, kappa) <= 0.0 or n < 1:
         raise PreconditionError("inputs must be positive")
-    lg_pow = profile.c_inv * math.log2(max(n, 2)) * math.log2(kappa)
+    lg_pow = C_INV * math.log2(max(n, 2)) * math.log2(kappa)
     kpow = 2.0**lg_pow if lg_pow < 1023 else math.inf
-    return ((norm_a + norm_ainv + profile.mu_inv(n) * kpow * norm_ainv)
-            * 4.0 * math.sqrt(n) * profile.u)
+    return ((norm_a + norm_ainv + MU_INV * n * kpow * norm_ainv)
+            * 4.0 * math.sqrt(n) * UNIT_ROUNDOFF)
 
 
 def deflate_failure_bound(n: int, beta: float, eta: float
@@ -84,7 +85,7 @@ def deflate_failure_bound(n: int, beta: float, eta: float
     return box, appendix
 
 
-def kappa_sign_estimate(a, mesh_points: int = 512) -> float:
+def kappa_sign_estimate(a) -> float:
     """Conditioning of the sign function: 1/eps^2 for the largest eps such
     that the eps-pseudospectrum avoids the imaginary axis.
 
@@ -100,11 +101,11 @@ def kappa_sign_estimate(a, mesh_points: int = 512) -> float:
         raise PreconditionError("eigenvalue on the imaginary axis; "
                                 "sign function undefined")
     reach = norm_a + 1.0
-    ts = np.linspace(-reach, reach, mesh_points)
+    ts = np.linspace(-reach, reach, KAPPA_SIGN_MESH)
     k, eps1 = sigma_min_argmin(1j * ts, a)
     lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, mesh_points - 1)]
-    _, eps2 = sigma_min_argmin(1j * np.linspace(lo, hi, mesh_points), a)
+    hi = ts[min(k + 1, KAPPA_SIGN_MESH - 1)]
+    _, eps2 = sigma_min_argmin(1j * np.linspace(lo, hi, KAPPA_SIGN_MESH), a)
     eps = min(eps1, eps2)
     return 1.0 / (eps * eps)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .deflate import deflate
 from .errors import DeflationError, EigFailureError, PreconditionError
 from .grids import Grid, kappa_v_upper, min_gap
-from .kernels import (DEFAULT_PROFILE, BackendProfile, as_cmatrix, mat_inv,
+from .kernels import (C_INV, MU_MM, MU_QR, as_cmatrix, mat_inv,
                       normalize_columns, op_norm)
 from .randmat import Rng
 from .shatter import ShatterParams, shatter
@@ -31,20 +31,20 @@ BACKWARD_ACCURACY_DENOM = 1536
 #: floor keeping the per-call failure budget beta representable in doubles
 _BETA_FLOOR = 1e-300
 
+#: deflation retries with fresh randomness before a node gives up
+DEFLATE_RETRY_BUDGET = 2
+
 
 @dataclass(frozen=True)
 class EigParams:
     delta: float
     theta: float
-    retry_budget: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
 
 
 @dataclass
@@ -75,7 +75,7 @@ def _measure(a, v, d) -> tuple[float, float]:
 
 
 def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
-                  n_global: int, rng: Rng, retry_budget: int = 2,
+                  n_global: int, rng: Rng,
                   eigenvalues: np.ndarray | None = None) -> EigResult:
     """Diagonalize a matrix whose eps-pseudospectrum is shattered w.r.t. g.
 
@@ -105,7 +105,7 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
 
     q_plus = q_minus = None
     last_err: DeflationError | None = None
-    for attempt in range(1 + retry_budget):
+    for attempt in range(1 + DEFLATE_RETRY_BUDGET):
         r = rng.child(attempt)
         try:
             q_plus = deflate(sr.p_plus, sr.n_plus, beta, eta, r.child(0))
@@ -122,10 +122,10 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     sub_delta = 4.0 * delta / 5.0
     sub_eps = 4.0 * eps / 5.0
     res_plus = eig_shattered(a_plus, sub_delta, sr.g_plus, sub_eps, theta,
-                             n_global, rng.child(0x51), retry_budget,
+                             n_global, rng.child(0x51),
                              eigenvalues=sr.eigenvalues_plus)
     res_minus = eig_shattered(a_minus, sub_delta, sr.g_minus, sub_eps, theta,
-                              n_global, rng.child(0x52), retry_budget,
+                              n_global, rng.child(0x52),
                               eigenvalues=sr.eigenvalues_minus)
 
     v = np.hstack([q_plus @ res_plus.v, q_minus @ res_minus.v])
@@ -157,8 +157,7 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n)
     res = eig_shattered(cert.matrix, delta_p, cert.grid, cert.epsilon,
-                        theta, n, rng.child(1), params.retry_budget,
-                        eigenvalues=cert.eigenvalues)
+                        theta, n, rng.child(1), eigenvalues=cert.eigenvalues)
     residual, kv = _measure(a, res.v, res.d)
     return EigResult(res.v, res.d, residual, kv, res.square_assignment,
                      res.depth)
@@ -204,8 +203,7 @@ def eig_iteration_budget(n: int, eps: float, delta: float, theta: float) -> floa
     return t1 + 3.0 * math.log2(t1) + math.log2(lg_ratio)
 
 
-def eig_precision_requirement(n: int, eps: float, delta: float, theta: float,
-                              profile: BackendProfile = DEFAULT_PROFILE
+def eig_precision_requirement(n: int, eps: float, delta: float, theta: float
                               ) -> float:
     """Sufficient bits lg(1/u) for the full recursion's guarantee.
 
@@ -221,9 +219,9 @@ def eig_precision_requirement(n: int, eps: float, delta: float, theta: float,
     lg_ratio8 = (26.0 * math.log2(5.0 * n) - 2.0 * math.log2(theta)
                  - 4.0 * math.log2(delta) - 8.0 * math.log2(eps))
     term1 = (math.log2(n / eps) ** 3 * lg_ratio8 * 2.0**14.83
-             * (profile.c_inv * math.log2(max(n, 2)) + 3.0)
+             * (C_INV * math.log2(max(n, 2)) + 3.0)
              + math.log2(n_eig))
     lg_ratio30 = (30.0 * math.log2(5.0 * n) - 2.0 * math.log2(theta)
                   - 4.0 * math.log2(delta) - 8.0 * math.log2(eps))
-    term2 = lg_ratio30 + math.log2(max(profile.mu_mm(n), profile.mu_qr(n), n))
+    term2 = lg_ratio30 + math.log2(max(MU_MM * n, MU_QR * n, n))
     return max(term1, term2)

@@ -6,8 +6,8 @@ mat_inv, the per-step kernel of the sign iteration, whose callers pass
 arrays they have validated or built; QR, norms and column scaling accept
 any 2-d array. These are the concrete instantiations of the black-box
 stable primitives (invert, QR, norms) that the higher-level algorithms
-are built on, together with a profile of their stability constants used
-by the precision calculators.
+are built on; their stability constants MU_MM, MU_INV, MU_QR and C_INV,
+with UNIT_ROUNDOFF, are what the precision calculators assume.
 
 Inversion is one partial-pivot LU and one triangular solve, both straight
 LAPACK calls (zgetrf, zgetrs): mat_inv factors once, judges singularity by
@@ -29,7 +29,6 @@ shattering certificate comes from the eigendecomposition (shatter).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +37,16 @@ from .errors import DimensionError, SingularMatrixError, ZeroColumnError
 
 #: unit roundoff of IEEE double arithmetic
 UNIT_ROUNDOFF = 2.0**-53
+
+#: stability constants of the kernels above, as the precision calculators
+#: use them: multiplication, inversion and QR are backward stable with
+#: factors mu_MM(n) = MU_MM n, mu_INV(n) = MU_INV n and mu_QR(n) = MU_QR n,
+#: and inversion's error grows as kappa^(C_INV lg n); conventional-algorithm
+#: values for O(n^3) kernels in double precision
+MU_MM = 1.0
+MU_INV = 10.0
+MU_QR = 30.0
+C_INV = 1.0
 
 #: shifts per batched SVD stack in sigma_min_shifted_batch (memory cap:
 #: the stack holds SHIFT_CHUNK shifted copies of the matrix at once)
@@ -53,43 +62,6 @@ CANDIDATE_CHUNK_ELEMS = 4096
 #: C in the slack tau = C n^1.5 u (|z| + ||A||_F) of sigma_min_candidates
 #: (derivation in its docstring)
 CANDIDATE_SLACK = 66.0
-
-
-@dataclass(frozen=True)
-class BackendProfile:
-    """Stability constants of the arithmetic backend.
-
-    mu_mm(n), mu_inv(n), mu_qr(n) are the multiplication, inversion and QR
-    stability factors; c_inv the inversion condition exponent; c_n the
-    Gaussian sampler constant; u the unit roundoff. Defaults are
-    conventional-algorithm values for O(n^3) kernels in double precision.
-    """
-
-    mm_coeff: float = 1.0
-    inv_coeff: float = 10.0
-    c_inv: float = 1.0
-    qr_coeff: float = 30.0
-    c_n: float = 1.0
-    u: float = UNIT_ROUNDOFF
-
-    def __post_init__(self):
-        if not (0.0 < self.u < 1.0):
-            raise ValueError("u must lie in (0, 1)")
-        for name in ("mm_coeff", "inv_coeff", "c_inv", "qr_coeff", "c_n"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-
-    def mu_mm(self, n: int) -> float:
-        return self.mm_coeff * n
-
-    def mu_inv(self, n: int) -> float:
-        return self.inv_coeff * n
-
-    def mu_qr(self, n: int) -> float:
-        return self.qr_coeff * n
-
-
-DEFAULT_PROFILE = BackendProfile()
 
 
 def as_cmatrix(a) -> np.ndarray:

@@ -23,6 +23,9 @@ from .randmat import (Rng, haar_corner_sigma_min_cdf, sample_ginibre,
 from .deflate import rurv
 from .shatter import smoothed_bounds
 
+#: sigma_{r+1} = ... = sigma_n of the fixed matrix run_r22_experiment tests
+R22_TAIL = 0.1
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -72,15 +75,16 @@ def toeplitz_nilpotent(n: int) -> np.ndarray:
     return a / nrm if nrm > 0 else a
 
 
-def run_gap_experiment(n: int, gamma: float, trials: int, rng: Rng,
-                       base_matrix=None) -> ExperimentReport:
+def run_gap_experiment(n: int, gamma: float, trials: int, rng: Rng
+                       ) -> ExperimentReport:
     """Frequency of {gap >= gamma^4/n^5} & {kappa_V <= n^2/gamma} &
-    {||G|| <= 4} for X = A + gamma*G versus the 1 - 12/n^2 floor.
+    {||G|| <= 4} for X = A + gamma*G, A = toeplitz_nilpotent(n), versus
+    the 1 - 12/n^2 floor.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
     kv_bound, gap_bound, fail_prob = smoothed_bounds(n, gamma)
-    a = toeplitz_nilpotent(n) if base_matrix is None else base_matrix
+    a = toeplitz_nilpotent(n)
     hits = 0
     norm_g_ok = 0
     gaps = []
@@ -138,15 +142,16 @@ def _fixed_sigma_matrix(n: int, r: int, tail: float, rng: Rng) -> np.ndarray:
     return (u * s[np.newaxis, :]) @ v.conj().T
 
 
-def run_r22_experiment(n: int, r: int, theta: float, trials: int, rng: Rng,
-                       tail: float = 0.1) -> ExperimentReport:
+def run_r22_experiment(n: int, r: int, theta: float, trials: int, rng: Rng
+                       ) -> ExperimentReport:
     """Violation frequency of ||R22|| <= sqrt(r(n-r))/theta * sigma_{r+1}(A)
-    versus the theta^2 ceiling, on a fixed matrix with known sigma_{r+1}.
+    versus the theta^2 ceiling, on a fixed matrix with known
+    sigma_{r+1} = R22_TAIL.
     """
     if not 0 < r < n:
         raise ValueError("require 0 < r < n")
-    a = _fixed_sigma_matrix(n, r, tail, rng.child(0))
-    cutoff = math.sqrt(r * (n - r)) / theta * tail
+    a = _fixed_sigma_matrix(n, r, R22_TAIL, rng.child(0))
+    cutoff = math.sqrt(r * (n - r)) / theta * R22_TAIL
     violations = 0
     for t in range(trials):
         res = rurv(a, rng.child(t + 1))

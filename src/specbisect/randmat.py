@@ -8,6 +8,7 @@ the oracles the statistical lab validates against.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,14 +21,19 @@ class Rng:
 
     The stream is a pure function of (seed, path): the same seed always
     reproduces the same samples, and ``child(i)`` yields an independent
-    stream so parallel branches stay deterministic.
+    stream so parallel branches stay deterministic. The generator is built
+    on the first draw, so a handle used only to derive children costs no
+    Philox setup.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(ss))
 
     def child(self, index: int) -> "Rng":
         return Rng(self.seed, self.path + (int(index),))

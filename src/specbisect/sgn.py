@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SingularMatrixError
-from .kernels import (DEFAULT_PROFILE, BackendProfile, UNIT_ROUNDOFF,
-                      as_cmatrix, fro_norm, mat_inv)
+from .kernels import (C_INV, MU_INV, UNIT_ROUNDOFF, as_cmatrix, fro_norm,
+                      mat_inv)
 # sgn calls neither; the benchmark's trace (bench/spans.py SITES) wraps both
 from .kernels import lu_pivot_extremes, op_norm  # noqa: F401
 
@@ -83,7 +83,11 @@ class SgnTrace:
     beta: float
     n: int
     cycle: tuple[int, int] | None = None
-    hardware_bits: float = -_lg(UNIT_ROUNDOFF)
+
+    @property
+    def hardware_bits(self) -> float:
+        """lg(1/u) of the double arithmetic every run uses."""
+        return -_lg(UNIT_ROUNDOFF)
 
     @functools.cached_property
     def predicted_alpha(self) -> list[float]:
@@ -222,7 +226,6 @@ def pseudospectral_step(alpha: float, alpha_next: float, eps: float) -> float:
 
 
 def required_precision_sgn(n: int, alpha0: float, eps0: float, beta: float,
-                           profile: BackendProfile = DEFAULT_PROFILE,
                            s: float | None = None) -> tuple[float, float]:
     """(u_max, bits) sufficient for the sgn guarantee.
 
@@ -240,8 +243,8 @@ def required_precision_sgn(n: int, alpha0: float, eps0: float, beta: float,
     # lg(alpha0), exact for tiny s; s = 1.0 only when alpha0 < u/2
     lg_alpha0 = ((math.log1p(-s) if s < 1.0 else math.log(alpha0))
                  / math.log(2.0))
-    expo = 2.0 ** (n_steps + 1) * (profile.c_inv * _lg(max(n, 2)) + 3.0)
-    log2_u = expo * lg_alpha0 - _lg(2.0 * profile.mu_inv(n) * math.sqrt(n) * n_steps)
+    expo = 2.0 ** (n_steps + 1) * (C_INV * _lg(max(n, 2)) + 3.0)
+    log2_u = expo * lg_alpha0 - _lg(2.0 * MU_INV * n * math.sqrt(n) * n_steps)
     bits = -log2_u
     u_max = 2.0**log2_u if log2_u > -1074 else 0.0
     return u_max, bits

@@ -1,7 +1,9 @@
-"""The public surface: every export resolves, every name the benchmark's
-traced run looks up is bound, and every matrix entry point rejects bad
-input with the same two exception types."""
+"""The public surface: the exports and configuration fields are exactly the
+pinned ones, every export resolves, every name the benchmark's traced run
+looks up is bound, and every matrix entry point rejects bad input with the
+same two exception types."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -60,6 +62,39 @@ def _bench_sites():
     spec.loader.exec_module(spans)
     return ([(m, a) for m, a, *_ in spans.SITES]
             + [(m, a) for m, a, _ in spans.COUNT_SITES])
+
+
+#: the public names of the package
+EXPORTS = {
+    "CertResult", "EigParams", "EigResult", "Grid", "Rng", "RurvResult",
+    "SgnParams", "SgnTrace", "ShatterCert", "ShatterParams", "SplitResult",
+    "UNIT_ROUNDOFF", "apollonius_contains", "certify_shattered", "deflate",
+    "eig_backward", "eig_count_signed", "eig_forward",
+    "eig_precision_requirement", "eig_shattered", "gap_tail_bound",
+    "ginibre_sigma_tail", "haar_corner_sigma_min_cdf", "kappa_eig_measure",
+    "kappa_v_upper", "min_gap", "mobius", "newton_map",
+    "pseudospectrum_member", "required_precision_sgn", "rurv",
+    "sample_ginibre", "sample_haar_unitary", "sgn", "sgn_error_bound",
+    "sgn_iteration_count", "sgn_params_from_shattering", "shatter",
+    "smoothed_bounds", "split",
+}
+
+#: the fields of each configuration object, in order
+CONFIG_FIELDS = {
+    EigParams: ("delta", "theta"),
+    SgnParams: ("eps0", "alpha0", "beta"),
+    ShatterParams: ("gamma", "mode"),
+}
+
+
+def test_exports_are_pinned():
+    assert sorted(specbisect.__all__) == sorted(EXPORTS)
+
+
+@pytest.mark.parametrize("cls", CONFIG_FIELDS, ids=lambda c: c.__name__)
+def test_config_fields_are_pinned(cls):
+    assert (tuple(f.name for f in dataclasses.fields(cls))
+            == CONFIG_FIELDS[cls])
 
 
 def test_every_export_resolves():

@@ -6,7 +6,6 @@ import pytest
 from specbisect.calc import (deflate_failure_bound, kappa_sign_estimate,
                              one_step_error_bound, prelim_n_bound, report)
 from specbisect.errors import PreconditionError
-from specbisect.kernels import DEFAULT_PROFILE
 
 
 def test_prelim_n_bound_example():
@@ -40,12 +39,12 @@ def test_prelim_n_bound_ranges():
 
 
 def test_one_step_error_bound_value():
-    # oracle first: direct arithmetic at n = 4, kappa = 10
+    # oracle first: direct arithmetic at n = 4, kappa = 10 with c_INV = 1,
+    # mu_INV(4) = 40 and u = 2^-53
     n, kappa = 4, 10.0
     na, ninv = 2.0, 5.0
-    kpow = kappa ** (DEFAULT_PROFILE.c_inv * math.log2(n))
-    want = (na + ninv + DEFAULT_PROFILE.mu_inv(n) * kpow * ninv) \
-        * 4 * math.sqrt(n) * DEFAULT_PROFILE.u
+    kpow = kappa ** (1 * math.log2(n))
+    want = (na + ninv + 40 * kpow * ninv) * 4 * math.sqrt(n) * 2.0**-53
     got = one_step_error_bound(na, ninv, kappa, n)
     assert got == pytest.approx(want, rel=1e-12)
     assert got > 0

@@ -8,8 +8,9 @@ import scipy.linalg
 from specbisect import calc, kernels
 from specbisect.errors import DimensionError, SingularMatrixError, ZeroColumnError
 from specbisect.grids import Grid, min_line_sigma
-from specbisect.kernels import (CANDIDATE_SLACK, DEFAULT_PROFILE, SHIFT_CHUNK,
-                                UNIT_ROUNDOFF, _schur_lower_bound, as_cmatrix,
+from specbisect.kernels import (C_INV, CANDIDATE_SLACK, MU_INV, MU_MM, MU_QR,
+                                SHIFT_CHUNK, UNIT_ROUNDOFF,
+                                _schur_lower_bound, as_cmatrix,
                                 lu_pivot_extremes, mat_inv, op_norm,
                                 normalize_columns, qr_factor,
                                 sigma_min_candidates, sigma_min_shifted_batch,
@@ -18,10 +19,11 @@ from specbisect.randmat import Rng, sample_ginibre
 
 
 def test_profile_defaults():
-    assert DEFAULT_PROFILE.mu_mm(8) == 8
-    assert DEFAULT_PROFILE.mu_inv(8) == 80
-    assert DEFAULT_PROFILE.mu_qr(8) == 240
-    assert DEFAULT_PROFILE.u == 2.0**-53 == UNIT_ROUNDOFF
+    assert MU_MM * 8 == 8
+    assert MU_INV * 8 == 80
+    assert MU_QR * 8 == 240
+    assert C_INV == 1
+    assert UNIT_ROUNDOFF == 2.0**-53
 
 
 def test_as_cmatrix_rejects():

@@ -18,6 +18,18 @@ def test_rng_determinism_and_children():
     assert not np.array_equal(a, c1)
 
 
+def test_rng_child_drawn_late_matches_fresh_stream():
+    # a stream depends only on (seed, path), not on when it first draws or
+    # on what its parent and siblings drew before it
+    parent = Rng(42, (1,))
+    late, sibling = parent.child(5), parent.child(6)
+    parent.standard_normal(7)
+    sibling.uniform(size=3)
+    parent.child(5).standard_normal(4)
+    assert np.array_equal(late.standard_normal(5),
+                          Rng(42, (1, 5)).standard_normal(5))
+
+
 def test_ginibre_moments():
     rng = Rng(0)
     # n = 1: E|G|^2 = 1 over many draws
