@@ -220,11 +220,22 @@ def certify_cmd(input_path, eps, z0_re, z0_im, omega, s1, s2,
     _run(body)
 
 
+#: the options each calc formula reads, in its report's inputs
+_CALC_INPUTS = {
+    "n-formula": ("alpha0", "eps0", "beta"),
+    "sgn-precision": ("n", "alpha0", "eps0", "beta"),
+    "eig-precision": ("n", "eps", "delta", "theta"),
+    "eig-budget": ("n", "eps", "delta", "theta"),
+    "prelim-n": ("t", "c"),
+    "one-step-error": ("norm_a", "norm_ainv", "kappa", "n"),
+    "deflate-failure": ("n", "beta", "eta"),
+    "smoothed-bounds": ("n", "gamma"),
+    "gap-tail": ("n", "gamma", "r"),
+}
+
+
 @main.command("calc")
-@click.argument("formula", type=click.Choice([
-    "n-formula", "sgn-precision", "eig-precision", "eig-budget",
-    "prelim-n", "one-step-error", "deflate-failure", "smoothed-bounds",
-    "gap-tail"]))
+@click.argument("formula", type=click.Choice(list(_CALC_INPUTS)))
 @click.option("--alpha0", type=float)
 @click.option("--eps0", type=float)
 @click.option("--beta", type=float)
@@ -244,45 +255,40 @@ def certify_cmd(input_path, eps, z0_re, z0_im, omega, s1, s2,
 def calc_cmd(formula, alpha0, eps0, beta, n, eps, delta, theta, t, c, gamma,
              r, eta, kappa, norm_a, norm_ainv, output):
     """Evaluate one closed-form bound and emit a formula report."""
+    given = locals()
+    missing = [name for name in _CALC_INPUTS[formula] if given[name] is None]
+    if missing:
+        raise click.UsageError(
+            f"{formula} needs "
+            + ", ".join("--" + name.replace("_", "-") for name in missing),
+            ctx=click.get_current_context())
+    inputs = {name: given[name] for name in _CALC_INPUTS[formula]}
 
     def body():
+        extra = {}
         if formula == "n-formula":
             value = sgn_iteration_count(alpha0, eps0, beta)
-            inputs = dict(alpha0=alpha0, eps0=eps0, beta=beta)
         elif formula == "sgn-precision":
             _, value = required_precision_sgn(n, alpha0, eps0, beta)
-            inputs = dict(n=n, alpha0=alpha0, eps0=eps0, beta=beta)
         elif formula == "eig-precision":
             value = eig_precision_requirement(n, eps, delta, theta)
-            inputs = dict(n=n, eps=eps, delta=delta, theta=theta)
         elif formula == "eig-budget":
             value = eig_iteration_budget(n, eps, delta, theta)
-            inputs = dict(n=n, eps=eps, delta=delta, theta=theta)
         elif formula == "prelim-n":
             value = calcmod.prelim_n_bound(t, c)
-            inputs = dict(t=t, c=c)
         elif formula == "one-step-error":
             value = calcmod.one_step_error_bound(norm_a, norm_ainv, kappa, n)
-            inputs = dict(norm_a=norm_a, norm_ainv=norm_ainv, kappa=kappa, n=n)
         elif formula == "deflate-failure":
-            box, appendix = calcmod.deflate_failure_bound(n, beta, eta)
-            report = calcmod.report("deflate-failure",
-                                    dict(n=n, beta=beta, eta=eta), box)
-            out = report.to_json()
-            out["appendix_value"] = appendix
-            _emit(out, output)
-            return
+            value, extra["appendix_value"] = calcmod.deflate_failure_bound(
+                n, beta, eta)
         elif formula == "smoothed-bounds":
-            kv, gap, fail = smoothed_bounds(n, gamma)
-            out = calcmod.report("smoothed-bounds",
-                                 dict(n=n, gamma=gamma), fail).to_json()
-            out.update({"kappa_v_bound": kv, "gap_bound": gap})
-            _emit(out, output)
-            return
+            kv, gap, value = smoothed_bounds(n, gamma)
+            extra = {"kappa_v_bound": kv, "gap_bound": gap}
         else:
             value = gap_tail_bound(n, gamma, r)
-            inputs = dict(n=n, gamma=gamma, r=r)
-        _emit(calcmod.report(formula, inputs, float(value)).to_json(), output)
+        out = calcmod.report(formula, inputs, float(value)).to_json()
+        out.update(extra)
+        _emit(out, output)
 
     _run(body)
 

@@ -5,10 +5,11 @@ z0. A matrix is shattered with respect to a grid (at level eps) when every
 square holds at most one eigenvalue and the eps-pseudospectrum avoids all
 grid lines. Certification here is brute force: a dense eigensolve plus a
 mesh of smallest-singular-value evaluations along the grid lines (exact
-SVDs wherever a Schur-form lower bound cannot rule out the minimum), which
-gives ground truth independent of the solver pipeline. The solver itself
-certifies from eig_pairs (shatter.windowed_line_margin); the mesh,
-min_line_sigma and certify_shattered are the oracle that cross-checks it.
+SVDs wherever the values already taken, being 1-Lipschitz in the shift,
+cannot rule out the minimum), which gives ground truth independent of the
+solver pipeline. The solver itself certifies from eig_pairs
+(shatter.windowed_line_margin); the mesh, min_line_sigma and
+certify_shattered are the oracle that cross-checks it.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def pseudospectrum_member(a, eps: float, z: complex) -> bool:
 
 def min_line_sigma(a, g: Grid, mesh_per_segment: int = 64):
     """(min, first argmin point) of sigma_min(z*I - A) over the meshed grid
-    lines, by exact SVD at the points a Schur-form bound cannot rule out."""
+    lines, as one SVD per mesh point gives them (kernels.sigma_min_argmin
+    takes SVDs at few of the points)."""
     pts = g.line_mesh(mesh_per_segment)
     k, smin = sigma_min_argmin(pts, a)
     return smin, complex(pts[k])

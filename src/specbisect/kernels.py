@@ -14,16 +14,15 @@ LAPACK calls (zgetrf, zgetrs): mat_inv factors once, judges singularity by
 a single pivot test on the same factors, and solves against the identity,
 so a Newton sign step costs one factorization.
 
-Shifted smallest singular values come in two strengths:
-sigma_min_shifted_batch is the exact value from one SVD per shift, and
-sigma_min_candidates prunes a shift set to the shifts that may attain its
-minimum, from a rigorous lower bound on the complex Schur form, so that a
-caller who needs only the minimum takes exact SVDs at a handful of shifts
-(sigma_min_argmin does both and returns the minimum and where it is).
-No solver path calls the pruned one: it serves the brute-force
-certification oracle (grids.min_line_sigma, certify_shattered) and the
-kappa_sign calculator (calc.kappa_sign_estimate), while the solver's
-shattering certificate comes from the eigendecomposition (shatter).
+Shifted smallest singular values have one kernel,
+sigma_min_shifted_batch: the exact value from one SVD per shift.
+sigma_min_argmin finds the minimum over a shift set with that kernel
+alone, taking SVDs only where the 1-Lipschitz bound of the values it has
+cannot rule the minimum out. No solver path calls it: it serves the
+brute-force certification oracle (grids.min_line_sigma, certify_shattered)
+and the kappa_sign calculator (calc.kappa_sign_estimate), while the
+solver's shattering certificate comes from the eigendecomposition
+(shatter).
 """
 
 from __future__ import annotations
@@ -51,17 +50,6 @@ C_INV = 1.0
 #: shifts per batched SVD stack in sigma_min_shifted_batch (memory cap:
 #: the stack holds SHIFT_CHUNK shifted copies of the matrix at once)
 SHIFT_CHUNK = 8192
-
-#: sigma_min_candidates takes CANDIDATE_CHUNK_ELEMS // n shifts at a time,
-#: so each of its products of a row of T with a block of the inverse stack
-#: touches fewer than this many entries. OpenBLAS runs such a gemv on one
-#: thread; a threaded one leaves its worker threads spinning, which slowed
-#: the small LU solves of the sign iteration that follow ~2x on 2 vCPUs.
-CANDIDATE_CHUNK_ELEMS = 4096
-
-#: C in the slack tau = C n^1.5 u (|z| + ||A||_F) of sigma_min_candidates
-#: (derivation in its docstring)
-CANDIDATE_SLACK = 66.0
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -207,87 +195,48 @@ def sigma_min_shifted_batch(zs, a) -> np.ndarray:
     return out
 
 
-def sigma_min_candidates(zs, a) -> np.ndarray:
-    """Mask of the shifts that may attain min_z sigma_min(z*I - A).
+def sigma_min_argmin(zs, a) -> tuple[int, float]:
+    """(first index, value) of the minimum of sigma_min(z*I - A) over zs,
+    both exactly what one SVD per shift would give, with SVDs at few of
+    the shifts.
 
-    A = Q T Q* is factored once into its complex Schur form. At every
-    shift, L(z) = 1/||(zI - T)^-1||_F <= sigma_min(zI - T) = sigma_min(zI - A)
-    is a rigorous lower bound. The inverse is formed by back substitution,
-    row by row, batched across a chunk of shifts in the layout (row,
-    column, shift); a shift on an eigenvalue of T reads as L = 0. One exact
-    value U = sigma_min_shifted_batch at the shift with the smallest L
-    bounds the minimum from above, and a shift stays a candidate iff
-    L - tau <= U + tau, with the absolute slack
-    tau = C n^1.5 u (|z| + ||A||_F), C = CANDIDATE_SLACK.
-
-    Derivation of C, to first order in u, for the first argmin z* of the
-    computed exact values (U is at least the value there):
-      * Schur form: T is the exact Schur form of A + E with
-        ||E||_2 <= mu_qr(n) u ||A||_F = 30 n u ||A||_F (QR algorithm).
-      * Substitution: column j of the computed inverse R solves
-        (M + dM_j) x = e_j with |dM_j| <= (n+1) u |M|, M = zI - T (Higham,
-        Accuracy and Stability, Thm 8.5; +1 for rounding z - T_ii). So
-        M R = I - F with ||F|| <= (n+1) u ||M||_F ||R||_F, hence
-        1/||R||_F <= sigma_min(M) + (n+1) u ||M||_F. Summing the squares
-        row by row, the square root and the division add (n+3) u
-        relatively; in all L <= sigma_min(M) + 6 n u ||M||_F, and
-        ||M||_F <= sqrt(n) (|z| + ||A||_F).
-      * SVD: the exact-value path is within mu_qr(n) u ||zI - A||_2
-        <= 30 n u (|z| + ||A||_F) of sigma_min(zI - A).
-    Together L(z*) <= U + (30 + 6 + 30) n^1.5 u (|z*| + ||A||_F), so C = 66
-    puts every minimizer in the mask with a factor 2 to spare.
+    sigma_min(zI - A) is 1-Lipschitz in z (Weyl), and |z_i - z_j| <=
+    |P_i - P_j| for the length P_j of the polyline z_0 ... z_j, whatever
+    the order of the shifts. A branch-and-bound search over blocks
+    [lo, hi) of consecutive shifts takes, each round, one batched SVD at
+    the middle shift of every block and lowers U, the least value found so
+    far. It drops a block when value(mid) - r > U + 2 tau and splits every
+    other block around its middle, where
+      * r = max(P_mid - P_lo, P_{hi-1} - P_mid), padded by 2(N + 5) u P_{N-1}
+        for the rounding of the cumulative sum over the N shifts, and
+      * tau = mu_qr(n) u (max|z| + ||A||_F) bounds the error of each
+        computed value (the SVD is backward stable with factor MU_QR n).
+    A dropped shift z thus computes to at least value(mid) - r - 2 tau > U,
+    strictly above a value already taken, so every shift that attains the
+    minimum gets its SVD.
     """
     a = as_cmatrix(a)
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     if zs.size == 0:
-        return np.zeros(0, dtype=bool)
-    t = scipy.linalg.schur(a, output="complex", check_finite=False)[0]
-    lower = _schur_lower_bound(zs, t)
-    k = int(np.argmin(lower))
-    upper = sigma_min_shifted_batch(zs[k:k + 1], a)[0]
-    tau = (CANDIDATE_SLACK * a.shape[0]**1.5 * UNIT_ROUNDOFF
-           * (np.abs(zs) + np.linalg.norm(a)))
-    return lower - tau <= upper + tau
-
-
-def sigma_min_argmin(zs, a) -> tuple[int, float]:
-    """(first index, value) of the minimum of sigma_min(z*I - A) over zs,
-    with exact SVDs only at the shifts sigma_min_candidates keeps; both are
-    what one SVD per shift would give."""
-    zs = np.asarray(zs, dtype=np.complex128).ravel()
-    cand = np.flatnonzero(sigma_min_candidates(zs, a))
-    svals = sigma_min_shifted_batch(zs[cand], a)
-    k = int(np.argmin(svals))
-    return int(cand[k]), float(svals[k])
-
-
-def _schur_lower_bound(zs, t) -> np.ndarray:
-    """1/||(zI - T)^-1||_F for each shift z, T upper triangular; 0 where the
-    norm is infinite or NaN (a shift on or next to a diagonal entry)."""
-    n = t.shape[0]
-    tdiag = np.diag(t)[:, np.newaxis]
-    lower = np.empty(zs.size)
-    chunk = max(1, CANDIDATE_CHUNK_ELEMS // n)
-    # r[i, j, s] = ((z_s I - T)^-1)_ij, filled from the last row up; the
-    # entries below the diagonal stay zero across chunks
-    r = np.zeros((n, n, min(chunk, zs.size)), dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        for lo in range(0, zs.size, chunk):
-            z = zs[lo:lo + chunk]
-            rz = r[:, :, :z.size]
-            d = z[np.newaxis, :] - tdiag
-            fro2 = np.zeros(z.size)
-            for i in range(n - 1, -1, -1):
-                row = rz[i, i:]
-                # one gemv per column j > i: T[i, i+1:] @ r[i+1:, j]
-                np.matmul(t[i, i + 1:], rz[i + 1:, i + 1:].transpose(1, 0, 2),
-                          out=row[1:])
-                row[1:] /= d[i]
-                row[0] = 1.0 / d[i]
-                fro2 += (row.real**2 + row.imag**2).sum(axis=0)
-            lower[lo:lo + z.size] = np.where(np.isfinite(fro2),
-                                             1.0 / np.sqrt(fro2), 0.0)
-    return lower
+        raise ValueError("sigma_min_argmin needs at least one shift")
+    path = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(zs)))))
+    pad = 2 * (zs.size + 5) * UNIT_ROUNDOFF * path[-1]
+    tau = (MU_QR * a.shape[0] * UNIT_ROUNDOFF
+           * (np.abs(zs).max() + fro_norm(a)))
+    vals = np.full(zs.size, np.inf)  # inf where no SVD was taken
+    upper = np.inf  # U
+    lo, hi = np.array([0]), np.array([zs.size])
+    while lo.size:
+        mid = (lo + hi) // 2
+        vals[mid] = sigma_min_shifted_batch(zs[mid], a)
+        upper = min(upper, vals[mid].min())
+        radius = np.maximum(path[mid] - path[lo], path[hi - 1] - path[mid])
+        keep = vals[mid] - (radius + pad) <= upper + 2 * tau
+        lo, mid, hi = lo[keep], mid[keep], hi[keep]
+        lo, hi = np.concatenate((lo, mid + 1)), np.concatenate((mid, hi))
+        lo, hi = lo[lo < hi], hi[lo < hi]
+    k = int(np.argmin(vals))
+    return k, float(vals[k])
 
 
 def trace(a) -> complex:

@@ -54,6 +54,11 @@ def binomial_sigma(p: float, trials: int) -> float:
     return math.sqrt(p * (1.0 - p) / trials)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def ks_distance(samples, cdf) -> float:
     """Kolmogorov-Smirnov distance between an empirical sample and a CDF."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -83,6 +88,7 @@ def run_gap_experiment(n: int, gamma: float, trials: int, rng: Rng
     """
     if n < 4:
         raise ValueError("n must be >= 4")
+    _check_trials(trials)
     kv_bound, gap_bound, fail_prob = smoothed_bounds(n, gamma)
     a = toeplitz_nilpotent(n)
     hits = 0
@@ -121,6 +127,7 @@ def run_haar_sigma_experiment(n: int, r: int, trials: int, rng: Rng
     """
     if not 0 < r < n:
         raise ValueError("require 0 < r < n")
+    _check_trials(trials)
     samples = np.empty(trials)
     for t in range(trials):
         u = sample_haar_unitary(n, rng.child(t))
@@ -150,6 +157,7 @@ def run_r22_experiment(n: int, r: int, theta: float, trials: int, rng: Rng
     """
     if not 0 < r < n:
         raise ValueError("require 0 < r < n")
+    _check_trials(trials)
     a = _fixed_sigma_matrix(n, r, R22_TAIL, rng.child(0))
     cutoff = math.sqrt(r * (n - r)) / theta * R22_TAIL
     violations = 0
@@ -173,6 +181,7 @@ def run_e2e_experiment(n: int, delta: float, trials: int, rng: Rng
     """End-to-end backward-error success rate of the full pipeline on
     random unit-norm inputs, versus the 1 - 1/n - 12/n^2 floor.
     """
+    _check_trials(trials)
     params = EigParams(delta=delta, theta=1.0 / n)
     kv_cap = 32.0 * n**2.5 / delta
     depth_cap = math.log(n) / math.log(1.25)

@@ -19,7 +19,7 @@ from specbisect import (EigParams, Grid, Rng, SgnParams, ShatterParams,
                         pseudospectrum_member, rurv, sgn, shatter, split)
 from specbisect.calc import kappa_sign_estimate
 from specbisect.errors import DimensionError
-from specbisect.kernels import sigma_min_argmin, sigma_min_candidates
+from specbisect.kernels import sigma_min_argmin
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
@@ -44,7 +44,6 @@ ENTRY_POINTS = {
     "split": lambda a: split(a, 0.4, UNIT8, 0.02),
     "calc.kappa_sign_estimate": kappa_sign_estimate,
     "kernels.sigma_min_argmin": lambda a: sigma_min_argmin([0j], a),
-    "kernels.sigma_min_candidates": lambda a: sigma_min_candidates([0j], a),
 }
 
 BAD_INPUTS = {

@@ -149,6 +149,49 @@ def test_calc_invalid_inputs_exit_1(runner):
     assert res.exit_code == 1
 
 
+#: complete, valid options for every calc formula
+CALC_OPTIONS = {
+    "n-formula": {"--alpha0": "0.9", "--eps0": "0.01", "--beta": "1e-3"},
+    "sgn-precision": {"--n": "16", "--alpha0": "0.99", "--eps0": "0.01",
+                      "--beta": "1e-3"},
+    "eig-precision": {"--n": "16", "--eps": "0.01", "--delta": "0.05",
+                      "--theta": "0.1"},
+    "eig-budget": {"--n": "16", "--eps": "0.01", "--delta": "0.05",
+                   "--theta": "0.1"},
+    "prelim-n": {"--t": "1e-3", "--c": "0.25"},
+    "one-step-error": {"--norm-a": "1.5", "--norm-ainv": "3",
+                       "--kappa": "10", "--n": "8"},
+    "deflate-failure": {"--n": "4", "--beta": "1e-20", "--eta": "1e-2"},
+    "smoothed-bounds": {"--n": "10", "--gamma": "0.1"},
+    "gap-tail": {"--n": "12", "--gamma": "0.3", "--r": "0"},
+}
+
+
+def _calc_args(formula, options):
+    return ["calc", formula] + [x for kv in options.items() for x in kv]
+
+
+@pytest.mark.parametrize("formula", CALC_OPTIONS)
+def test_calc_missing_options_exit_3(runner, formula):
+    full = CALC_OPTIONS[formula]
+    res = runner.invoke(main, _calc_args(formula, full))
+    assert res.exit_code == 0, res.output
+    for name in full:
+        rest = {k: v for k, v in full.items() if k != name}
+        res = runner.invoke(main, _calc_args(formula, rest))
+        assert res.exit_code == 3, res.output
+        assert name in res.output
+    res = runner.invoke(main, ["calc", formula])
+    assert res.exit_code == 3
+    assert all(name in res.output for name in full)
+
+
+def test_lab_zero_trials_exit_1(runner):
+    res = runner.invoke(main, ["lab", "gap", "--n", "4", "--trials", "0"])
+    assert res.exit_code == 1
+    assert "trials must be >= 1" in res.output
+
+
 def test_lab_command(tmp_path, runner):
     out = tmp_path / "lab.json"
     res = runner.invoke(main, ["lab", "haar-sigma", "--n", "4", "--r", "2",

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from specbisect import calc, kernels
+from specbisect import ShatterParams, calc, grids, kernels, shatter
 from specbisect.errors import DimensionError, SingularMatrixError, ZeroColumnError
 from specbisect.grids import Grid, min_line_sigma
-from specbisect.kernels import (C_INV, CANDIDATE_SLACK, MU_INV, MU_MM, MU_QR,
-                                SHIFT_CHUNK, UNIT_ROUNDOFF,
-                                _schur_lower_bound, as_cmatrix,
-                                lu_pivot_extremes, mat_inv, op_norm,
-                                normalize_columns, qr_factor,
-                                sigma_min_candidates, sigma_min_shifted_batch,
-                                trace)
+from specbisect.kernels import (C_INV, MU_INV, MU_MM, MU_QR, SHIFT_CHUNK,
+                                UNIT_ROUNDOFF, as_cmatrix, lu_pivot_extremes,
+                                mat_inv, op_norm, normalize_columns,
+                                qr_factor, sigma_min_argmin,
+                                sigma_min_shifted_batch, trace)
 from specbisect.randmat import Rng, sample_ginibre
 
 
@@ -125,11 +123,32 @@ def test_min_line_sigma_first_minimum_across_chunks():
     assert min_line_sigma(a, grid, 64) == (want[k], complex(pts[k]))
 
 
-def _slack(zs, a):
-    """tau of sigma_min_candidates at each shift."""
-    n = a.shape[0]
-    return (CANDIDATE_SLACK * n**1.5 * UNIT_ROUNDOFF
-            * (np.abs(zs) + np.linalg.norm(a)))
+def _all_svd_argmin(zs, a):
+    """Reference: (first index, value) of the minimum, one SVD per shift."""
+    exact = sigma_min_shifted_batch(zs, a)
+    k = int(np.argmin(exact))
+    return k, float(exact[k])
+
+
+def _record_candidates(monkeypatch):
+    """Collect the shifts of every sigma_min_shifted_batch call that
+    sigma_min_argmin makes: its candidates, the shifts it takes SVDs at."""
+    taken = []
+
+    def recording(zs, a):
+        taken.append(np.asarray(zs))
+        return sigma_min_shifted_batch(zs, a)
+
+    monkeypatch.setattr(kernels, "sigma_min_shifted_batch", recording)
+    return taken
+
+
+def _assert_candidates_hold_every_minimizer(zs, a, monkeypatch):
+    exact = sigma_min_shifted_batch(zs, a)  # oracle first
+    k = int(np.argmin(exact))
+    taken = _record_candidates(monkeypatch)
+    assert sigma_min_argmin(zs, a) == (k, float(exact[k]))
+    assert np.isin(zs[exact == exact.min()], np.concatenate(taken)).all()
 
 
 def _shifts(rng, count, scale=1.5):
@@ -137,17 +156,12 @@ def _shifts(rng, count, scale=1.5):
     return scale * (g[0] + 1j * g[1])
 
 
-def _lower_bound(zs, a):
-    t = scipy.linalg.schur(a, output="complex")[0]
-    return _schur_lower_bound(np.asarray(zs, dtype=complex), t)
-
-
 def _near_jordan():
     g = sample_ginibre(2, Rng(21))
     return np.array([[0, 1], [0, 0]], dtype=complex) + 1e-12 * g
 
 
-LOWER_BOUND_CASES = {
+ARGMIN_CASES = {
     **{f"ginibre-n{n}": (lambda n=n: sample_ginibre(n, Rng(20, (n,))))
        for n in (1, 2, 5, 24)},
     "normal": lambda: np.diag([0.5, -0.5j, 0.3 + 0.3j, -0.2]).astype(complex),
@@ -155,50 +169,33 @@ LOWER_BOUND_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", LOWER_BOUND_CASES)
-def test_schur_lower_bound_below_sigma_min(case):
-    a = LOWER_BOUND_CASES[case]()
+@pytest.mark.parametrize("case", ARGMIN_CASES)
+def test_argmin_equals_all_svd(case):
+    a = ARGMIN_CASES[case]()
     rng = Rng(22)
     # shifts everywhere, plus some crowding the spectrum
     evals = np.linalg.eigvals(a)
     near = (evals[:, None] + 1e-3 * _shifts(rng.child(0), 8)[None, :]).ravel()
     zs = np.concatenate([_shifts(rng.child(1), 300), near])
-    exact = sigma_min_shifted_batch(zs, a)  # oracle first
-    lower = _lower_bound(zs, a)
-    assert np.all(lower >= 0.0)
-    assert np.all(lower <= exact + _slack(zs, a))
-    # a bound that collapsed to 0 would prune nothing
-    assert np.median(lower / exact) > 0.2
+    want = _all_svd_argmin(zs, a)  # oracle first
+    assert sigma_min_argmin(zs, a) == want
 
 
-def test_candidates_at_exact_diagonal_entry():
+def test_candidates_at_exact_diagonal_entry(monkeypatch):
     a = sample_ginibre(6, Rng(23))
     t = scipy.linalg.schur(a, output="complex")[0]
     zs = np.concatenate([np.diag(t)[2:4], _shifts(Rng(24), 50)])
+    assert _all_svd_argmin(zs, a)[0] < 2  # oracle first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lower = _schur_lower_bound(zs, t)
-        mask = sigma_min_candidates(zs, a)
-    assert np.all(lower[:2] == 0.0)
-    assert mask[:2].all()
-    assert np.all(np.isfinite(lower))
+        _assert_candidates_hold_every_minimizer(zs, a, monkeypatch)
 
 
-def _assert_mask_holds_every_minimizer(zs, a):
-    exact = sigma_min_shifted_batch(zs, a)  # oracle first
-    mask = sigma_min_candidates(zs, a)
-    assert mask.shape == zs.shape and mask.dtype == bool
-    assert mask[np.flatnonzero(exact == exact.min())].all()
-    return mask
-
-
-def test_candidates_hold_first_argmin_on_line_mesh():
+def test_candidates_hold_first_argmin_on_line_mesh(monkeypatch):
     a = sample_ginibre(24, Rng(25)) / 5.0
     grid = Grid(complex(-1.13, -1.07), 0.19, 12, 12)
     pts = grid.line_mesh(16)
-    mask = _assert_mask_holds_every_minimizer(pts, a)
-    # the bound prunes: only a handful of exact SVDs remain
-    assert mask.sum() <= 16
+    _assert_candidates_hold_every_minimizer(pts, a, monkeypatch)
 
 
 def test_candidates_hold_first_argmin_across_chunk_boundary(monkeypatch):
@@ -206,18 +203,67 @@ def test_candidates_hold_first_argmin_across_chunk_boundary(monkeypatch):
     lam = np.linalg.eigvals(a)[0]
     zs = _shifts(Rng(27), 40)
     zs[17] = lam + 1e-6  # the minimum sits past two chunk boundaries
-    one_chunk = _lower_bound(zs, a)
-    monkeypatch.setattr(kernels, "CANDIDATE_CHUNK_ELEMS", 5 * 7)
-    # chunks of 7 shifts, the last one partial
-    assert np.allclose(_lower_bound(zs, a), one_chunk, rtol=1e-13, atol=0)
-    mask = _assert_mask_holds_every_minimizer(zs, a)
-    assert mask[17]
-    assert sigma_min_candidates(zs[:0], a).shape == (0,)
+    assert _all_svd_argmin(zs, a)[0] == 17  # oracle first
+    monkeypatch.setattr(kernels, "SHIFT_CHUNK", 7)
+    _assert_candidates_hold_every_minimizer(zs, a, monkeypatch)
+    with pytest.raises(ValueError):
+        sigma_min_argmin(zs[:0], a)
 
 
-def _all_shifts(zs, a):
-    """sigma_min_candidates that keeps every shift: the all-SVD path."""
-    return np.ones(np.size(zs), dtype=bool)
+def test_argmin_first_of_repeated_minimizers():
+    a = sample_ginibre(5, Rng(29))
+    zs = _shifts(Rng(30), 200)
+    k, _ = _all_svd_argmin(zs, a)  # oracle first
+    # the minimizing shift again, later and at the very end
+    zs = np.concatenate([zs[:150], zs[k:k + 1], zs[150:], zs[k:k + 1]])
+    want = _all_svd_argmin(zs, a)
+    assert want[0] == k
+    assert sigma_min_argmin(zs, a) == want
+
+
+def test_argmin_at_last_index():
+    a = sample_ginibre(5, Rng(31))
+    zs = _shifts(Rng(32), 300)
+    zs[-1] = np.linalg.eigvals(a)[2] + 1e-9
+    want = _all_svd_argmin(zs, a)  # oracle first
+    assert want[0] == zs.size - 1
+    assert sigma_min_argmin(zs, a) == want
+
+
+def test_argmin_radius_reaches_both_sides():
+    # sigma_min(z*I - 0) = |z|. After the first round, the block [0, 3)
+    # has its middle shift 1.001 one step of 0.001 from 1.0 and one of
+    # 0.991 from the minimum 0.01; reversed, the long step is on the left
+    zs = np.array([1.0, 1.001, 0.01, 0.5, 0.6, 0.3, 0.35])
+    a = np.zeros((1, 1))
+    for shifts, k in ((zs, 2), (zs[::-1], 4)):
+        want = _all_svd_argmin(shifts, a)  # oracle first
+        assert want == (k, 0.01)
+        assert sigma_min_argmin(shifts, a) == want
+
+
+def test_argmin_holds_minimizer_within_rounding():
+    # shifts one ulp apart: the computed values differ by SVD rounding,
+    # by more than the path is long, so only the slack tau keeps the
+    # first minimizer from being pruned
+    a = 1e3 * sample_ginibre(6, Rng(44))
+    zs = 0.3 + 0.2j + np.spacing(0.3) * np.arange(400)
+    exact = sigma_min_shifted_batch(zs, a)  # oracle first
+    assert np.ptp(exact) > np.ptp(zs.real)  # more than 1-Lipschitz allows
+    k = int(np.argmin(exact))
+    assert sigma_min_argmin(zs, a) == (k, float(exact[k]))
+
+
+def test_argmin_prunes_shatter_mesh(monkeypatch):
+    r = Rng(300)
+    g = sample_ginibre(4, r.child(9))
+    cert = shatter(g / op_norm(g), ShatterParams(gamma=0.1), r)
+    pts = cert.grid.line_mesh(32)
+    assert pts.size > 400_000
+    taken = _record_candidates(monkeypatch)
+    _, smin = sigma_min_argmin(pts, cert.matrix)
+    assert sum(map(np.size, taken)) < 0.02 * pts.size
+    assert smin >= cert.epsilon  # the grid is certified
 
 
 def test_callers_equal_all_svd_path(monkeypatch):
@@ -230,10 +276,9 @@ def test_callers_equal_all_svd_path(monkeypatch):
         return (min_line_sigma(x, grid, 8),
                 calc.kappa_sign_estimate(sign_input))
 
-    pts = grid.line_mesh(8)
-    assert sigma_min_candidates(pts, x).sum() < pts.size // 100  # it prunes
     fast = run()
-    monkeypatch.setattr(kernels, "sigma_min_candidates", _all_shifts)
+    monkeypatch.setattr(grids, "sigma_min_argmin", _all_svd_argmin)
+    monkeypatch.setattr(calc, "sigma_min_argmin", _all_svd_argmin)
     assert fast == run()
 
 

@@ -75,3 +75,15 @@ def test_e2e_experiment_passes():
     assert rep.statistic["max_depth"] <= rep.statistic["depth_cap"]
     assert rep.statistic["exception_count"] == 0
     assert rep.statistic["median_residual"] <= 0.1
+
+
+@pytest.mark.parametrize("run", [
+    lambda trials: run_gap_experiment(4, 0.1, trials, Rng(26)),
+    lambda trials: run_haar_sigma_experiment(4, 2, trials, Rng(26)),
+    lambda trials: run_r22_experiment(4, 2, 0.5, trials, Rng(26)),
+    lambda trials: run_e2e_experiment(4, 0.1, trials, Rng(26)),
+], ids=["gap", "haar-sigma", "r22", "e2e"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_experiments_reject_no_trials(run, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run(trials)
