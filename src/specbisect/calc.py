@@ -76,6 +76,8 @@ def deflate_failure_bound(n: int, beta: float, eta: float
     """Both published failure bounds for deflation, clamped to 1:
     ((20n)^3 sqrt(beta)/eta^2, 6000 n^3 sqrt(beta)/eta^2).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0.0 <= beta <= 0.25:
         raise PreconditionError("beta must lie in [0, 1/4]")
     if not 0.0 < eta < 1.0:

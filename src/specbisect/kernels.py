@@ -11,8 +11,12 @@ with UNIT_ROUNDOFF, are what the precision calculators assume.
 
 Inversion is one partial-pivot LU and one triangular solve, both straight
 LAPACK calls (zgetrf, zgetrs): mat_inv factors once, judges singularity by
-a single pivot test on the same factors, and solves against the identity,
-so a Newton sign step costs one factorization.
+a single pivot test on the factors' diagonal, and solves against the
+identity, so a Newton sign step costs one factorization. QR is likewise
+two straight LAPACK calls (zgeqrf, zungqr) with the workspaces
+scipy.linalg.qr would query, cached per shape like op_norm's zgesdd
+workspace: on the small blocks deep in the recursion the wrappers, not
+LAPACK, would otherwise set the cost.
 
 Shifted smallest singular values have one kernel,
 sigma_min_shifted_batch: the exact value from one SVD per shift.
@@ -27,6 +31,7 @@ solver's shattering certificate comes from the eigendecomposition
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -103,17 +108,18 @@ def mat_inv(a) -> np.ndarray:
     as_cmatrix on every Newton step. A NaN that reaches the pivots still
     raises ValueError.
 
-    A single pivot test on the factors raises SingularMatrixError when
-    min|U_ii| <= max(n, PIVOT_FLOOR) u max|U_ii| (an exactly zero pivot
-    included). Otherwise LAPACK's getrs, the routine lu_solve wraps, solves
-    against the identity, so the inverse is what lu_solve gives, bit for
-    bit, without scipy's per-call batching wrapper.
+    A single pivot test on the factors' diagonal raises SingularMatrixError
+    when min|U_ii| <= max(n, PIVOT_FLOOR) u max|U_ii| (an exactly zero
+    pivot included). Otherwise LAPACK's getrs, the routine lu_solve wraps,
+    solves against the identity, so the inverse is what lu_solve gives, bit
+    for bit, without scipy's per-call batching wrapper.
     """
     n = a.shape[0]
     lu, piv = _lu(a)
-    d = np.abs(np.diag(lu))
-    pivot_min, pivot_max = float(d.min()), float(d.max())
-    if math.isnan(pivot_max):  # max propagates a NaN pivot
+    d = np.abs(lu.diagonal())
+    d.sort()  # both ends from one call; a NaN pivot sorts last
+    pivot_min, pivot_max = float(d[0]), float(d[-1])
+    if math.isnan(pivot_max):
         raise ValueError("matrix contains non-finite entries")
     if pivot_min <= max(n, PIVOT_FLOOR) * UNIT_ROUNDOFF * pivot_max:
         raise SingularMatrixError(
@@ -125,47 +131,92 @@ def mat_inv(a) -> np.ndarray:
     return inv
 
 
+@functools.lru_cache(maxsize=128)
+def _qr_plan(m: int, n: int) -> tuple[int, int, np.ndarray]:
+    """(zgeqrf lwork, zungqr lwork, mask below R's diagonal) of an m x n QR.
+
+    The two workspace sizes are what scipy.linalg.qr's queries return; they
+    depend on the shape alone, and the blocking LAPACK picks follows them,
+    so the factors come out as scipy's, bit for bit.
+    """
+    k = min(m, n)
+    work = scipy.linalg.lapack.zgeqrf(
+        np.zeros((m, n), np.complex128, order="F"), lwork=-1)[2]
+    geqrf_lwork = int(work[0].real)
+    work = scipy.linalg.lapack.zungqr(
+        np.zeros((m, k), np.complex128, order="F"),
+        np.zeros(k, np.complex128), lwork=-1)[1]
+    below = np.tri(k, n, -1, dtype=bool)
+    below.setflags(write=False)
+    return geqrf_lwork, int(work[0].real), below
+
+
 def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
     """Householder QR with the nonnegative-real-diagonal sign convention.
 
-    Returns (Q, R) with R exactly upper triangular, diag(R) real and >= 0.
-    The convention is enforced by a diagonal phase fix; it is what makes
-    the Q of a Ginibre matrix exactly Haar distributed.
+    Returns the economic (Q, R) with R exactly upper triangular (+0.0 below
+    the diagonal), diag(R) real and >= 0. The convention is enforced by a
+    diagonal phase fix; it is what makes the Q of a Ginibre matrix exactly
+    Haar distributed.
+
+    LAPACK's geqrf and ungqr are called directly with the workspaces
+    scipy.linalg.qr queries (cached per shape, _qr_plan), and the phase fix
+    scales R's rows and Q's columns once each: (Q, R) are, bit for bit,
+    those of scipy.linalg.qr(mode="economic") with the phase fix applied.
     """
     a = np.asarray(a, dtype=np.complex128)
-    q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
-    k = min(a.shape)
-    d = np.diag(r)[:k].copy()
+    m, n = a.shape
+    k = min(m, n)
+    if k == 0:  # LAPACK rejects an empty matrix's workspace queries
+        return (np.empty((m, 0), np.complex128),
+                np.empty((0, n), np.complex128))
+    geqrf_lwork, ungqr_lwork, below = _qr_plan(m, n)
+    qr, tau, _, info = scipy.linalg.lapack.zgeqrf(a, lwork=geqrf_lwork)
+    _check_info("zgeqrf", info)
+    d = qr.diagonal()
     absd = np.abs(d)
-    ph = np.where(absd > 0.0, d / np.where(absd > 0.0, absd, 1.0), 1.0)
-    q = q * ph[np.newaxis, :]
-    r = np.conj(ph)[:, np.newaxis] * r
-    r = np.triu(r)
-    idx = np.arange(k)
-    r[idx, idx] = absd
+    ph = np.divide(d, absd, out=np.ones(k, np.complex128), where=absd > 0.0)
+    r = np.empty((k, n), np.complex128)
+    np.multiply(np.conj(ph)[:, np.newaxis], qr[:k], out=r)
+    r[below] = 0.0  # the product holds scaled reflectors there
+    r.flat[::n + 1] = absd
+    # overwrites the reflectors in qr, which R no longer reads
+    q, _, info = scipy.linalg.lapack.zungqr(qr[:, :k], tau, lwork=ungqr_lwork,
+                                            overwrite_a=1)
+    _check_info("zungqr", info)
+    q *= ph
     return q, r
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+@functools.lru_cache(maxsize=128)
+def _gesdd_lwork(m: int, n: int) -> int:
+    """zgesdd's workspace for singular values alone, as svdvals queries it."""
+    lwork, info = scipy.linalg.lapack.zgesdd_lwork(m, n, compute_uv=0)
+    if info != 0:
+        raise ValueError(f"zgesdd workspace query failed (info {info})")
+    return int(lwork.real)
 
 
 def op_norm(a) -> float:
     """Spectral norm (largest singular value).
 
     LAPACK's gesdd is called directly with the workspace its size query
-    gives, as svdvals does, so the value is svdvals' bit for bit, without
-    scipy's per-call batching wrapper.
+    gives (cached per shape), as svdvals does, so the value is svdvals' bit
+    for bit, without scipy's per-call batching wrapper.
     """
     a = np.asarray(a, dtype=np.complex128)
     if not a.any():
         return 0.0
-    m, n = a.shape
-    lwork, info = scipy.linalg.lapack.zgesdd_lwork(m, n, compute_uv=0)
-    if info != 0:
-        raise ValueError(f"zgesdd workspace query failed (info {info})")
     _, svals, _, info = scipy.linalg.lapack.zgesdd(
-        a, compute_uv=0, lwork=int(lwork.real))
+        a, compute_uv=0, lwork=_gesdd_lwork(*a.shape))
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of zgesdd")
+    _check_info("zgesdd", info)
     return float(svals[0])
 
 

@@ -6,7 +6,10 @@ region C_alpha contract toward {-1, +1} at a doubly exponential rate. The
 iteration count and precision formulas here are closed forms derived from
 that geometry; sgn() returns what exactly that many steps of the matrix
 iteration give, bit for bit, and stops early once an iterate repeats one
-it has already seen, from which point the rest of the run is known.
+it has already seen, from which point the rest of the run is known. A
+step costs one LU, one solve and one Frobenius norm of the new iterate,
+which serves the trace, the finiteness check and the repeat search at
+once; bytes are compared only between iterates of equal norm.
 
 lg denotes log base 2 throughout.
 """
@@ -262,6 +265,21 @@ def condition_bounds_from_pseudospectrum(alpha: float, eps: float
     return 1.0 / eps, 4.0 * alpha / ((1.0 - alpha) ** 2 * eps)
 
 
+def _kept_repeat(entry: list, recent: dict[int, list]) -> int | None:
+    """k of the first kept [||X_k||_F, X_k, bytes] whose X_k has the bits of
+    entry's iterate, or None. Bytes, which unlike == tell -0.0 from 0.0,
+    are taken only once the norms agree, and are kept for later steps."""
+    for k, kept in recent.items():
+        if kept[0] != entry[0]:
+            continue
+        for e in (entry, kept):
+            if e[2] is None:
+                e[2] = e[1].tobytes()
+        if kept[2] == entry[2]:
+            return k
+    return None
+
+
 def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     """Newton iteration A <- (A + A^-1)/2, equivalent to exactly N steps.
 
@@ -271,14 +289,18 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     violated (the pseudospectrum touched the imaginary axis): mat_inv's
     pivot test raises, and sgn re-raises it as PreconditionError.
 
-    Each step is one LU and one solve (mat_inv), no SVD. A step is a
-    deterministic function of the iterate's bits, so once X_k equals an
-    earlier X_j bit for bit (p = k - j), the iterates cycle with period p
-    and X_N = X_{j + (N-j) mod p}: sgn returns that kept iterate without
+    Each step is one LU and one solve (mat_inv), no SVD, and one scan of
+    the new iterate: its Frobenius norm (BLAS nrm2), which the trace
+    records, which is the key of the repeat search, and which is finite
+    exactly when every entry is, short of the norm itself overflowing
+    (then the entries are checked). A step is a deterministic function
+    of the iterate's bits, so once X_k equals an earlier X_j bit for bit
+    (p = k - j), the iterates cycle with period p and
+    X_N = X_{j + (N-j) mod p}: sgn returns that kept iterate without
     running the remaining steps. The skipped steps would have inverted and
     checked only iterates that already passed. Candidates are the last
-    REPEAT_WINDOW iterates, keyed by the Frobenius norm the trace records
-    and confirmed on their bytes, which, unlike ==, tell -0.0 from 0.0.
+    REPEAT_WINDOW iterates; only those whose norm equals X_k's are
+    compared on their bytes, which, unlike ==, tell -0.0 from 0.0.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -290,21 +312,20 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     # X_0 may be the result, which must not be the caller's array; order="K"
     # keeps the memory order, and with it the summation order of fro_norm
     x = a.copy(order="K")
-    # k -> (||X_k||_F, bytes of X_k, X_k); near convergence most kept
-    # iterates share a norm, and a bytes compare stops at the first mismatch
-    recent: dict[int, tuple[float, bytes, np.ndarray]] = {}
+    x_norm = fro_norm(x)
+    # k -> [||X_k||_F, X_k, bytes of X_k once a norm has matched it]
+    recent: dict[int, list] = {}
     # an overflowing inverse is caught by the finiteness check below, so
     # numpy's overflow/invalid warnings on the way there are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            x_norm, x_bytes = fro_norm(x), x.tobytes()
-            j = next((i for i, (norm, b, _) in recent.items()
-                      if norm == x_norm and b == x_bytes), None)
+            entry = [x_norm, x, None]
+            j = _kept_repeat(entry, recent)
             if j is not None:
                 trace.cycle = (j, k - j)
-                x = recent[j + (n_steps - j) % (k - j)][2]
+                x = recent[j + (n_steps - j) % (k - j)][1]
                 break
-            recent[k] = (x_norm, x_bytes, x)
+            recent[k] = entry
             recent.pop(k - REPEAT_WINDOW, None)
             try:
                 xinv = mat_inv(x)
@@ -313,11 +334,14 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
                     f"iterate {k} is singular to working precision; the "
                     f"pseudospectrum likely touches the imaginary axis"
                 ) from err
+            trace.iterate_norms.append((x_norm, fro_norm(xinv)))
             x = 0.5 * (x + xinv)
-            if not np.isfinite(x).all():
+            x_norm = fro_norm(x)
+            # nrm2 propagates NaN and Inf, so a finite norm clears every
+            # entry; an infinite one may still be an overflow of the norm
+            if not math.isfinite(x_norm) and not np.isfinite(x).all():
                 raise PreconditionError(
                     f"non-finite entries at iterate {k + 1}")
-            trace.iterate_norms.append((x_norm, fro_norm(xinv)))
     trace.n_steps = len(trace.iterate_norms)
     return x, trace
 

@@ -61,6 +61,8 @@ def smoothed_bounds(n: int, gamma: float) -> tuple[float, float, float]:
 
 def gap_tail_bound(n: int, gamma: float, r: float) -> float:
     """min(1, 42 (n/gamma)^3.2 r^1.2 + 2 e^{-2n}), a bound on P[gap(X) < r]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if r < 0.0:
         raise ValueError("r must be nonnegative")
     if gamma <= 0.0:

@@ -73,6 +73,12 @@ def test_deflate_failure_bound_values():
         deflate_failure_bound(4, 0.5, 1e-2)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_deflate_failure_bound_rejects_n_below_1(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        deflate_failure_bound(n, 0.01, 0.5)
+
+
 def test_deflate_failure_bound_ordering():
     # (20n)^3 = 8000 n^3 >= 6000 n^3, so box >= appendix before clamping
     box, appendix = deflate_failure_bound(8, 1e-18, 0.5)

@@ -149,6 +149,16 @@ def test_calc_invalid_inputs_exit_1(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("formula,options", [
+    ("deflate-failure", ["--beta", "0.01", "--eta", "0.5"]),
+    ("gap-tail", ["--gamma", "0.1", "--r", "0.01"]),
+])
+def test_calc_n_below_1_exit_1(runner, formula, options):
+    res = runner.invoke(main, ["calc", formula, "--n", "-3"] + options)
+    assert res.exit_code == 1, res.output
+    assert "n must be >= 1" in res.output
+
+
 #: complete, valid options for every calc formula
 CALC_OPTIONS = {
     "n-formula": {"--alpha0": "0.9", "--eps0": "0.01", "--beta": "1e-3"},

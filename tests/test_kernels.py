@@ -9,10 +9,11 @@ from specbisect import ShatterParams, calc, grids, kernels, shatter
 from specbisect.errors import DimensionError, SingularMatrixError, ZeroColumnError
 from specbisect.grids import Grid, min_line_sigma
 from specbisect.kernels import (C_INV, MU_INV, MU_MM, MU_QR, SHIFT_CHUNK,
-                                UNIT_ROUNDOFF, as_cmatrix, lu_pivot_extremes,
-                                mat_inv, op_norm, normalize_columns,
-                                qr_factor, sigma_min_argmin,
-                                sigma_min_shifted_batch, trace)
+                                UNIT_ROUNDOFF, as_cmatrix, fro_norm,
+                                lu_pivot_extremes, mat_inv, op_norm,
+                                normalize_columns, qr_factor,
+                                sigma_min_argmin, sigma_min_shifted_batch,
+                                trace)
 from specbisect.randmat import Rng, sample_ginibre
 
 
@@ -62,6 +63,79 @@ def test_qr_factor_convention():
     d = np.diag(r)
     assert np.all(d.imag == 0.0) and np.all(d.real >= 0.0)
     assert np.array_equal(r, np.triu(r))
+
+
+def _qr_oracle(a):
+    """scipy's economic QR, then the phase fix into fresh arrays: Q's
+    columns times the pivot phases, R's rows times their conjugates, R's
+    lower triangle zeroed again and its diagonal set to |pivot|."""
+    q, r = scipy.linalg.qr(a, mode="economic", check_finite=False)
+    k = min(a.shape)
+    d = np.diag(r)[:k].copy()
+    absd = np.abs(d)
+    ph = np.where(absd > 0.0, d / np.where(absd > 0.0, absd, 1.0), 1.0)
+    q = q * ph[np.newaxis, :]
+    r = np.triu(np.conj(ph)[:, np.newaxis] * r)
+    r[np.arange(k), np.arange(k)] = absd
+    return q, r
+
+
+def _zero_column(m, n):
+    a = sample_ginibre(max(m, n), Rng(11))[:m, :n].copy()
+    a[:, 1] = 0.0  # R's second pivot is exactly 0, so its phase is 1
+    return a
+
+
+QR_INPUTS = {
+    "1x1": lambda: sample_ginibre(1, Rng(1)),
+    "2x2": lambda: sample_ginibre(2, Rng(2)),
+    "7x7": lambda: sample_ginibre(7, Rng(7)),
+    "48x48": lambda: sample_ginibre(48, Rng(48)),
+    # past LAPACK's crossover of 128 geqrf runs blocked, and its bits then
+    # follow the workspace size
+    "blocked-160x160": lambda: sample_ginibre(160, Rng(160)),
+    "tall-9x4": lambda: sample_ginibre(9, Rng(9))[:, :4],
+    "wide-4x9": lambda: sample_ginibre(9, Rng(9))[:4, :],
+    "real-fortran-6x6": lambda: np.asfortranarray(
+        np.random.default_rng(6).standard_normal((6, 6))),
+    "zero-column-5x5": lambda: _zero_column(5, 5),
+    "zero-column-tall-7x3": lambda: _zero_column(7, 3),
+}
+
+
+@pytest.mark.parametrize("make", QR_INPUTS.values(), ids=QR_INPUTS.keys())
+def test_qr_factor_equals_scipy_qr_bit_for_bit(make):
+    # sample_haar_unitary, and through it the benchmark's clustered inputs,
+    # and both QRs of every rurv are these bytes
+    a = np.asarray(make(), dtype=np.complex128)
+    q_want, r_want = _qr_oracle(a)
+    q, r = qr_factor(a)
+    for got, want in ((q, q_want), (r, r_want)):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()  # -0.0 != +0.0 here
+    below = r[np.tri(*r.shape, -1, dtype=bool)]
+    assert not np.signbit(below.real).any()
+    assert not np.signbit(below.imag).any()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_qr_factor_empty(shape):
+    q, r = qr_factor(np.zeros(shape))
+    q_want, r_want = scipy.linalg.qr(np.zeros(shape), mode="economic")
+    assert q.shape == q_want.shape and r.shape == r_want.shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(np.inf, np.nan)])
+def test_fro_norm_propagates_non_finite(bad):
+    # sgn reads an iterate's finiteness from its norm
+    for n in (1, 2, 5, 16):
+        for order in "CF":
+            for pos in {(0, 0), (n - 1, n - 1), (n // 2, 0)}:
+                for scale in (1e-300, 1.0, 1e300):
+                    x = np.full((n, n), scale * (0.6 - 0.8j), order=order)
+                    x[pos] = bad
+                    assert not math.isfinite(fro_norm(x)), (n, order, pos)
 
 
 def test_norms_and_sigma():

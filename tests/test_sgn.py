@@ -379,6 +379,25 @@ def test_sgn_iterate_norms_bound_two_norms(make):
         assert inv_fro >= np.linalg.norm(xinv, 2)
 
 
+def test_sgn_overflowing_iterate_raises_precondition():
+    # pivots ~1e-310 pass the relative pivot test, but the inverse
+    # overflows, so X_1 = (X_0 + X_0^-1)/2 has non-finite entries
+    a = 1e-310 * np.array([[1.0, 0.5], [0.25, 1.0]], dtype=complex)
+    with pytest.raises(PreconditionError, match="non-finite entries at "
+                       "iterate 1"):
+        sgn(a, FAST_PATH_PARAMS)
+
+
+def test_sgn_overflowing_norm_is_not_a_non_finite_iterate():
+    # X_1 = 0.75e308 I: ||X_1||_F = 4 * 0.75e308 overflows while every
+    # entry is finite, and the run goes on, as an entrywise check lets it
+    a = 1.5e308 * np.eye(16, dtype=complex)
+    s, trace = sgn(a, FAST_PATH_PARAMS)
+    assert trace.iterate_norms[1][0] == math.inf
+    xs, _ = _reference_sgn(a, trace.budget)
+    assert _same_bits(s, xs[-1])
+
+
 def test_sgn_hot_path_one_lu_no_svd(monkeypatch):
     calls = {"getrf": 0, "getrs": 0}
 

@@ -252,6 +252,13 @@ def test_gap_tail_bound():
     assert gap_tail_bound(16, 0.2, 1e-6) == 1.0
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_gap_tail_bound_rejects_n_below_1(n):
+    # (n/gamma)**3.2 of a negative n is complex; the check comes first
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gap_tail_bound(n, 0.1, 0.01)
+
+
 def test_gap_tail_monte_carlo_dominance():
     n, gamma, r = 16, 0.2, 1e-6
     bound = gap_tail_bound(n, gamma, r)
