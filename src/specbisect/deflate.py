@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeflationError, PreconditionError
-from .kernels import UNIT_ROUNDOFF, as_cmatrix, op_norm, qr_factor
+from .kernels import UNIT_ROUNDOFF, as_cmatrix, fro_norm, op_norm, qr_factor
 from .randmat import Rng, sample_ginibre
 
 
@@ -53,7 +53,9 @@ def deflate(p_tilde, k: int, beta: float, eta: float, rng: Rng) -> np.ndarray:
     (20n)^3 sqrt(beta)/eta^2, or the alternative bookkeeping
     6000 n^3 sqrt(beta)/eta^2) there is an exact orthonormal basis Q of
     range(P) with ||Q_tilde - Q|| <= eta. Probabilistic failure is not
-    detectable here; only orthonormality of the output is checked.
+    detectable here; only orthonormality of the output is checked:
+    ||Q_tilde* Q_tilde - I||_2 <= 10 n u, by the Frobenius norm when that
+    bound already clears it, else by the SVD.
     """
     p_tilde = as_cmatrix(p_tilde)
     n = p_tilde.shape[0]
@@ -64,8 +66,12 @@ def deflate(p_tilde, k: int, beta: float, eta: float, rng: Rng) -> np.ndarray:
     if not 0.0 < eta < 1.0:
         raise PreconditionError("eta must lie in (0, 1)")
     q = rurv(p_tilde, rng).u[:, :k]
-    resid = op_norm(q.conj().T @ q - np.eye(k))
-    if resid > 10.0 * n * UNIT_ROUNDOFF:
-        raise DeflationError(
-            f"deflated basis not orthonormal (residual {resid:.3e})")
+    gram_err = q.conj().T @ q - np.eye(k)
+    tol = 10.0 * n * UNIT_ROUNDOFF
+    # ||E||_2 <= ||E||_F: the SVD runs only when the cheap bound exceeds tol
+    if fro_norm(gram_err) > tol:
+        resid = op_norm(gram_err)
+        if resid > tol:
+            raise DeflationError(
+                f"deflated basis not orthonormal (residual {resid:.3e})")
     return q

@@ -74,28 +74,25 @@ def _measure(a, v, d) -> tuple[float, float]:
     return residual, kv
 
 
-def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
-                  n_global: int, rng: Rng,
-                  eigenvalues: np.ndarray | None = None) -> EigResult:
-    """Diagonalize a matrix whose eps-pseudospectrum is shattered w.r.t. g.
+def _squares(g: Grid, d: np.ndarray) -> list:
+    """The square of g holding each eigenvalue in d."""
+    return [g.square_index(complex(lam)) for lam in d]
 
-    With probability at least 1 - theta, each returned eigenvalue shares
-    its grid square with exactly one true eigenvalue and each returned
-    unit eigenvector is delta-close to an exact one. eigenvalues, when
-    given, lie one per square of g in the squares of A's eigenvalues (the
-    shattering eigensolve's); each split predicts its census from them
-    and hands each block its side's share.
-    """
+
+def _eig_node(a, delta: float, g: Grid, eps: float, theta: float,
+              n_global: int, rng: Rng,
+              eigenvalues: np.ndarray | None) -> tuple[np.ndarray,
+                                                       np.ndarray, int]:
+    """(V, D, depth) of eig_shattered's recursion, neither measured nor
+    assigned to squares: no caller reads an inner node's residual."""
     a = as_cmatrix(a)
     m = a.shape[0]
     if m > n_global:
         raise PreconditionError("block size exceeds the global dimension")
 
     if m == 1:
-        lam = complex(a[0, 0])
-        return EigResult(np.eye(1, dtype=np.complex128),
-                         np.array([lam]), 0.0, 1.0,
-                         [g.square_index(lam)], 0)
+        return (np.eye(1, dtype=np.complex128),
+                np.array([complex(a[0, 0])]), 0)
 
     eta = delta * eps * eps / 200.0
     beta = eta**4 / (20.0 * m) ** 6 * theta**2 / (4.0 * m**8)
@@ -121,20 +118,38 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     a_minus = q_minus.conj().T @ a @ q_minus
     sub_delta = 4.0 * delta / 5.0
     sub_eps = 4.0 * eps / 5.0
-    res_plus = eig_shattered(a_plus, sub_delta, sr.g_plus, sub_eps, theta,
-                             n_global, rng.child(0x51),
-                             eigenvalues=sr.eigenvalues_plus)
-    res_minus = eig_shattered(a_minus, sub_delta, sr.g_minus, sub_eps, theta,
-                              n_global, rng.child(0x52),
-                              eigenvalues=sr.eigenvalues_minus)
+    v_plus, d_plus, depth_plus = _eig_node(
+        a_plus, sub_delta, sr.g_plus, sub_eps, theta, n_global,
+        rng.child(0x51), sr.eigenvalues_plus)
+    v_minus, d_minus, depth_minus = _eig_node(
+        a_minus, sub_delta, sr.g_minus, sub_eps, theta, n_global,
+        rng.child(0x52), sr.eigenvalues_minus)
 
-    v = np.hstack([q_plus @ res_plus.v, q_minus @ res_minus.v])
-    v = normalize_columns(v)
-    d = np.concatenate([res_plus.d, res_minus.d])
+    v = normalize_columns(np.hstack([q_plus @ v_plus, q_minus @ v_minus]))
+    d = np.concatenate([d_plus, d_minus])
+    return v, d, 1 + max(depth_plus, depth_minus)
+
+
+def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
+                  n_global: int, rng: Rng,
+                  eigenvalues: np.ndarray | None = None) -> EigResult:
+    """Diagonalize a matrix whose eps-pseudospectrum is shattered w.r.t. g.
+
+    With probability at least 1 - theta, each returned eigenvalue shares
+    its grid square with exactly one true eigenvalue and each returned
+    unit eigenvector is delta-close to an exact one. eigenvalues, when
+    given, lie one per square of g in the squares of A's eigenvalues (the
+    shattering eigensolve's); each split predicts its census from them
+    and hands each block its side's share.
+
+    The residual and kappa_V are measured at the entry point only, once,
+    against A; the recursion below it measures nothing.
+    """
+    a = as_cmatrix(a)
+    v, d, depth = _eig_node(a, delta, g, eps, theta, n_global, rng,
+                            eigenvalues)
     residual, kv = _measure(a, v, d)
-    assignment = [g.square_index(complex(lam)) for lam in d]
-    depth = 1 + max(res_plus.depth, res_minus.depth)
-    return EigResult(v, d, residual, kv, assignment, depth)
+    return EigResult(v, d, residual, kv, _squares(g, d), depth)
 
 
 def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
@@ -143,7 +158,8 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     Shatters A at gamma = delta/8 and solves the perturbed problem to
     accuracy delta' = delta^3/(1536 n^2.5). Success contract (probability
     at least 1 - 1/n - 12/n^2): ||A - V D V^-1|| <= delta and
-    kappa(V) <= 32 n^2.5 / delta, both measured on the returned result.
+    kappa(V) <= 32 n^2.5 / delta, both measured once, on the returned
+    result against A.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -156,11 +172,10 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     cert = shatter(a, ShatterParams(gamma=delta / 8.0), rng.child(0))
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n)
-    res = eig_shattered(cert.matrix, delta_p, cert.grid, cert.epsilon,
-                        theta, n, rng.child(1), eigenvalues=cert.eigenvalues)
-    residual, kv = _measure(a, res.v, res.d)
-    return EigResult(res.v, res.d, residual, kv, res.square_assignment,
-                     res.depth)
+    v, d, depth = _eig_node(cert.matrix, delta_p, cert.grid, cert.epsilon,
+                            theta, n, rng.child(1), cert.eigenvalues)
+    residual, kv = _measure(a, v, d)
+    return EigResult(v, d, residual, kv, _squares(cert.grid, d), depth)
 
 
 def eig_forward(a, delta: float, kappa_eig_bound: float, params: EigParams,

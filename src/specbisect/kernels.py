@@ -9,14 +9,14 @@ stable primitives (invert, QR, norms) that the higher-level algorithms
 are built on; their stability constants MU_MM, MU_INV, MU_QR and C_INV,
 with UNIT_ROUNDOFF, are what the precision calculators assume.
 
-Inversion is one partial-pivot LU and one triangular solve, both straight
-LAPACK calls (zgetrf, zgetrs): mat_inv factors once, judges singularity by
-a single pivot test on the factors' diagonal, and solves against the
-identity, so a Newton sign step costs one factorization. QR is likewise
-two straight LAPACK calls (zgeqrf, zungqr) with the workspaces
-scipy.linalg.qr would query, cached per shape like op_norm's zgesdd
-workspace: on the small blocks deep in the recursion the wrappers, not
-LAPACK, would otherwise set the cost.
+Inversion is one straight LAPACK call, zgesv (a partial-pivot LU, zgetrf,
+then the triangular solves, zgetrs, against a cached identity): mat_inv
+judges singularity by a single pivot test on the factors' diagonal that
+zgesv returns, so a Newton sign step costs one factorization and one
+wrapper call. QR is two straight LAPACK calls (zgeqrf, zungqr) with the
+workspaces scipy.linalg.qr would query, cached per shape like op_norm's
+zgesdd workspace: on the small blocks deep in the recursion the wrappers,
+not LAPACK, would otherwise set the cost.
 
 Shifted smallest singular values have one kernel,
 sigma_min_shifted_batch: the exact value from one SVD per shift.
@@ -71,18 +71,6 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-def _lu(a):
-    """Partial-pivot LU (lu, piv) of a validated matrix, as lu_factor gives.
-
-    LAPACK's getrf is called directly: lu_factor turns an exactly zero
-    pivot into a LinAlgWarning, but both callers judge singularity from
-    the pivots themselves. (Silencing the warning per call instead cost
-    ~10% of a 48x48 factorization.)
-    """
-    lu, piv, _ = scipy.linalg.lapack.zgetrf(a)
-    return lu, piv
-
-
 #: mat_inv calls a matrix singular when min|U_ii| <= max(n, PIVOT_FLOOR) u
 #: max|U_ii|; the floor keeps a relative pivot of at least 10u at small n
 PIVOT_FLOOR = 10
@@ -92,15 +80,26 @@ def lu_pivot_extremes(a) -> tuple[float, float]:
     """(smallest, largest) |U_ii| from a partial-pivot LU of a.
 
     The ratio largest/smallest is a cheap growth-based condition estimate.
+    LAPACK's getrf is called directly: lu_factor would turn an exactly zero
+    pivot into a LinAlgWarning, where the caller reads the pivots itself.
     """
     a = as_cmatrix(a)
-    lu, _ = _lu(a)
+    lu, _, _ = scipy.linalg.lapack.zgetrf(a)
     d = np.abs(np.diag(lu))
     return float(d.min()), float(d.max())
 
 
+@functools.lru_cache(maxsize=128)
+def _identity(n: int) -> np.ndarray:
+    """Read-only Fortran-ordered n x n identity, the right-hand side of
+    mat_inv's zgesv; zgesv gets a copy, never this array."""
+    eye = np.eye(n, dtype=np.complex128, order="F")
+    eye.setflags(write=False)
+    return eye
+
+
 def mat_inv(a) -> np.ndarray:
-    """Invert via one partial-pivot LU; raise if singular to working precision.
+    """Invert via one zgesv call; raise if singular to working precision.
 
     The caller passes a finite square complex128 array: sgn validates its
     input once and checks every iterate for finiteness, and eig._measure
@@ -108,14 +107,16 @@ def mat_inv(a) -> np.ndarray:
     as_cmatrix on every Newton step. A NaN that reaches the pivots still
     raises ValueError.
 
-    A single pivot test on the factors' diagonal raises SingularMatrixError
+    LAPACK's gesv factors (getrf) and solves against a copy of the cached
+    identity (getrs, the routine lu_solve wraps) in one call, so the
+    inverse is what lu_solve(lu_factor(a), I) gives, bit for bit, without
+    scipy's per-call wrappers. Before the inverse is returned, a single
+    pivot test on the returned factors' diagonal raises SingularMatrixError
     when min|U_ii| <= max(n, PIVOT_FLOOR) u max|U_ii| (an exactly zero
-    pivot included). Otherwise LAPACK's getrs, the routine lu_solve wraps,
-    solves against the identity, so the inverse is what lu_solve gives, bit
-    for bit, without scipy's per-call batching wrapper.
+    pivot, where gesv stops before the solve, included).
     """
     n = a.shape[0]
-    lu, piv = _lu(a)
+    lu, _, inv, _ = scipy.linalg.lapack.zgesv(a, _identity(n))
     d = np.abs(lu.diagonal())
     d.sort()  # both ends from one call; a NaN pivot sorts last
     pivot_min, pivot_max = float(d[0]), float(d[-1])
@@ -126,8 +127,6 @@ def mat_inv(a) -> np.ndarray:
             f"matrix is singular to working precision (pivot {pivot_min:.3e})",
             pivot=pivot_min,
         )
-    inv, _ = scipy.linalg.lapack.zgetrs(
-        lu, piv, np.eye(n, dtype=np.complex128, order="F"), overwrite_b=True)
     return inv
 
 

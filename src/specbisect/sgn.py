@@ -7,9 +7,10 @@ iteration count and precision formulas here are closed forms derived from
 that geometry; sgn() returns what exactly that many steps of the matrix
 iteration give, bit for bit, and stops early once an iterate repeats one
 it has already seen, from which point the rest of the run is known. A
-step costs one LU, one solve and one Frobenius norm of the new iterate,
-which serves the trace, the finiteness check and the repeat search at
-once; bytes are compared only between iterates of equal norm.
+step costs one LAPACK zgesv call (one LU and its solve against the
+identity, mat_inv) and one Frobenius norm of the new iterate, which
+serves the trace, the finiteness check and the repeat search at once;
+bytes are compared only between iterates of equal norm.
 
 lg denotes log base 2 throughout.
 """
@@ -289,10 +290,10 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     violated (the pseudospectrum touched the imaginary axis): mat_inv's
     pivot test raises, and sgn re-raises it as PreconditionError.
 
-    Each step is one LU and one solve (mat_inv), no SVD, and one scan of
-    the new iterate: its Frobenius norm (BLAS nrm2), which the trace
-    records, which is the key of the repeat search, and which is finite
-    exactly when every entry is, short of the norm itself overflowing
+    Each step is one zgesv call (mat_inv: one LU and its solve), no SVD,
+    and one scan of the new iterate: its Frobenius norm (BLAS nrm2), which
+    the trace records, which is the key of the repeat search, and which is
+    finite exactly when every entry is, short of the norm itself overflowing
     (then the entries are checked). A step is a deterministic function
     of the iterate's bits, so once X_k equals an earlier X_j bit for bit
     (p = k - j), the iterates cycle with period p and

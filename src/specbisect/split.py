@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AmbiguousCountError, PreconditionError, SplitFailureError
 from .grids import Grid
-from .kernels import as_cmatrix, op_norm, trace
+from .kernels import as_cmatrix, fro_norm, op_norm, trace
 from .sgn import SgnParams, sgn, sgn_params_from_shattering
 
 
@@ -165,7 +165,8 @@ def split(a, eps: float, g: Grid, beta: float,
     n = a.shape[0]
     if n < 2:
         raise PreconditionError("split needs n >= 2")
-    if op_norm(a) > 4.0 + 1e-9:
+    # ||A||_2 <= ||A||_F: the SVD runs only when the cheap bound exceeds 4
+    if fro_norm(a) > 4.0 + 1e-9 and op_norm(a) > 4.0 + 1e-9:
         raise PreconditionError("split requires ||A|| <= 4")
     if beta > 0.05 / n:
         raise PreconditionError("split requires beta <= 0.05/n")

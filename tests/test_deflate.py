@@ -1,13 +1,17 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from conftest import oracle_projector, subspace_distance
-from specbisect.deflate import deflate, rurv
-from specbisect.errors import PreconditionError
-from specbisect.kernels import UNIT_ROUNDOFF, op_norm
+from specbisect.deflate import RurvResult, deflate, rurv
+from specbisect.errors import DeflationError, PreconditionError
+from specbisect.kernels import UNIT_ROUNDOFF, fro_norm, op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
+
+# the package's `deflate` export is the function; the module is needed here
+deflate_module = importlib.import_module("specbisect.deflate")
 
 
 def test_rurv_zero_matrix():
@@ -86,6 +90,56 @@ def test_deflate_validation():
         deflate(p, 0, 1e-8, 1e-2, Rng(0))
     with pytest.raises(PreconditionError):
         deflate(p, 1, 0.5, 1e-2, Rng(0))
+
+
+def _planted_basis(monkeypatch, n, k, ratio):
+    """Make deflate's RURV return I[:, :k] with two columns stretched so
+    that ||Q*Q - I||_2 = ratio 10 n u < ||Q*Q - I||_F; returns Q*Q - I."""
+    u = np.eye(n, dtype=np.complex128)
+    u[:, :2] *= math.sqrt(1.0 + ratio * 10 * n * UNIT_ROUNDOFF)
+    monkeypatch.setattr(deflate_module, "rurv",
+                        lambda a, rng: RurvResult(u, None, None))
+    q = u[:, :k]
+    return q.conj().T @ q - np.eye(k)
+
+
+def _calls(monkeypatch, name) -> list:
+    original, calls = getattr(deflate_module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(deflate_module, name, counted)
+    return calls
+
+
+def test_deflate_check_raises_on_two_norm_above_threshold(monkeypatch):
+    n, k = 6, 3
+    err = _planted_basis(monkeypatch, n, k, 1.2)
+    tol = 10 * n * UNIT_ROUNDOFF
+    two = op_norm(err)
+    assert tol < two < fro_norm(err)
+    with pytest.raises(DeflationError, match=f"residual {two:.3e}"):
+        deflate(np.eye(n, dtype=complex), k, 1e-8, 1e-2, Rng(0))
+
+
+def test_deflate_check_passes_two_norm_below_threshold(monkeypatch):
+    n, k = 6, 3
+    err = _planted_basis(monkeypatch, n, k, 0.8)
+    # the Frobenius bound does not clear it, so the SVD decides
+    assert op_norm(err) < 10 * n * UNIT_ROUNDOFF < fro_norm(err)
+    svds = _calls(monkeypatch, "op_norm")
+    q = deflate(np.eye(n, dtype=complex), k, 1e-8, 1e-2, Rng(0))
+    assert q.shape == (n, k) and svds == ["op_norm"]
+
+
+def test_deflate_check_skips_svd_when_frobenius_clears(monkeypatch):
+    svds = _calls(monkeypatch, "op_norm")
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    q = deflate(p, 2, 1e-8, 1e-2, Rng(0))
+    assert fro_norm(q.conj().T @ q - np.eye(2)) <= 10 * 4 * UNIT_ROUNDOFF
+    assert svds == []
 
 
 def test_deflate_unitary_equivariance_statistical(rng):

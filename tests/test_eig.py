@@ -180,6 +180,28 @@ def test_backward_runs_one_sgn_per_split(monkeypatch, rng):
     assert len(splits) == len(sgns) == n - 1  # a binary tree with n leaves
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_measured_once_at_the_entry_point(monkeypatch, rng, n):
+    g = sample_ginibre(n, rng)
+    a = g / op_norm(g)
+    measures = _count_calls(monkeypatch, "specbisect.eig", "_measure")
+    res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n),
+                       rng.child(5))
+    assert res.depth >= 2  # inner nodes that measure nothing
+    assert len(measures) == 1
+    cert = shatter(a, ShatterParams(gamma=0.05 / 8), rng.child(0))
+    measures.clear()
+    res = eig_shattered(cert.matrix, 1e-6, cert.grid, cert.epsilon, 1 / n, n,
+                        Rng(9), eigenvalues=cert.eigenvalues)
+    assert len(measures) == 1
+    # the entry point measures its own argument
+    want = op_norm(cert.matrix
+                   - res.v @ np.diag(res.d) @ np.linalg.inv(res.v))
+    assert res.residual == pytest.approx(want, rel=1e-6, abs=1e-12)
+    assert res.square_assignment == [cert.grid.square_index(complex(z))
+                                     for z in res.d]
+
+
 def test_guided_recursion_equals_probing_recursion(monkeypatch, rng):
     n = 16
     g = sample_ginibre(n, rng)

@@ -49,9 +49,34 @@ def test_mat_inv_and_pivots():
     assert 0 < lo <= hi
     with pytest.raises(SingularMatrixError):
         mat_inv(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    # an exactly zero pivot, where zgesv stops before the solve
+    with pytest.raises(SingularMatrixError):
+        mat_inv(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 6.0, 7.0]],
+                         dtype=np.complex128))
     # callers validate, but a NaN that reaches the pivots is not inverted
     with pytest.raises(ValueError):
         mat_inv(np.full((2, 2), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 24, 48])
+def test_mat_inv_equals_lu_solve_bit_for_bit(n, order):
+    a = np.asarray(sample_ginibre(n, Rng(n, (7,))), order=order)
+    want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a),
+                                 np.eye(n, dtype=np.complex128))
+    got = mat_inv(a)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_mat_inv_leaves_cached_identity_untouched():
+    a = sample_ginibre(5, Rng(5))
+    first = mat_inv(a)
+    eye = kernels._identity(5)
+    assert not eye.flags.writeable and eye.flags.f_contiguous
+    second = mat_inv(a)
+    assert kernels._identity(5) is eye
+    assert np.array_equal(eye, np.eye(5)) and first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, eye) and not np.shares_memory(second, eye)
 
 
 def test_qr_factor_convention():

@@ -399,7 +399,8 @@ def test_sgn_overflowing_norm_is_not_a_non_finite_iterate():
 
 
 def test_sgn_hot_path_one_lu_no_svd(monkeypatch):
-    calls = {"getrf": 0, "getrs": 0}
+    # one zgesv (LU and solve in one LAPACK call) per step, and no SVD
+    calls = {"gesv": 0, "getrf": 0, "getrs": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -410,16 +411,17 @@ def test_sgn_hot_path_one_lu_no_svd(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the sgn hot path")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zgetrf",
-                        counted("getrf", scipy.linalg.lapack.zgetrf))
-    monkeypatch.setattr(scipy.linalg.lapack, "zgetrs",
-                        counted("getrs", scipy.linalg.lapack.zgetrs))
+    for name in calls:
+        routine = "z" + name
+        monkeypatch.setattr(scipy.linalg.lapack, routine,
+                            counted(name, getattr(scipy.linalg.lapack, routine)))
+    monkeypatch.setattr(scipy.linalg.lapack, "zgesdd", forbidden)
     for name in ("op_norm", "op_norm_inv_safe", "lu_pivot_extremes"):
         monkeypatch.setattr(sgn_module, name, forbidden)
     for make in FAST_PATH_INPUTS.values():
-        calls.update(getrf=0, getrs=0)
+        calls.update(gesv=0, getrf=0, getrs=0)
         _, trace = sgn(make(), FAST_PATH_PARAMS)
-        assert calls == {"getrf": trace.n_steps, "getrs": trace.n_steps}
+        assert calls == {"gesv": trace.n_steps, "getrf": 0, "getrs": 0}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

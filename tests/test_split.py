@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import oracle_projector
 from specbisect.errors import PreconditionError, SplitFailureError
 from specbisect.grids import Grid
-from specbisect.kernels import op_norm
+from specbisect.kernels import fro_norm, op_norm
 from specbisect.randmat import Rng, sample_haar_unitary
 from specbisect.split import eig_count_signed, split
 
@@ -108,6 +109,25 @@ def test_split_preconditions():
         split(2.5 * a, 0.4, UNIT8, 0.02)  # norm > 4
     with pytest.raises(PreconditionError):
         split(a, 0.4, UNIT8, 0.5)  # beta too big
+
+
+def test_split_norm_check_falls_through_to_svd(monkeypatch):
+    # ||A||_2 = 4 < ||A||_F: the Frobenius bound cannot clear the check
+    split_module = importlib.import_module("specbisect.split")
+    original, svds = split_module.op_norm, []
+    monkeypatch.setattr(split_module, "op_norm",
+                        lambda x: svds.append(x) or original(x))
+    g = Grid(complex(-3.75, -3.75), 1.0, 8, 8)
+    a = np.diag([4.0, 3.0, 0.5]).astype(complex)
+    assert fro_norm(a) > 4.0
+    res = split(a, 0.2, g, 0.015)
+    assert res.n_plus + res.n_minus == 3 and len(svds) == 1
+    with pytest.raises(PreconditionError, match=r"\|\|A\|\| <= 4"):
+        split(np.diag([4.01, 3.0, 0.5]).astype(complex), 0.2, g, 0.015)
+    svds.clear()
+    # ||B||_F <= 4 settles it without an SVD
+    split(np.diag([2.5, 1.5, 0.5]).astype(complex), 0.2, g, 0.015)
+    assert svds == []
 
 
 def test_split_failure_without_balanced_line():
