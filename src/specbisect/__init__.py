@@ -11,8 +11,7 @@ from .grids import (CertResult, Grid, ShatterCert, certify_shattered,
 from .kernels import UNIT_ROUNDOFF
 from .randmat import (Rng, ginibre_sigma_tail, haar_corner_sigma_min_cdf,
                       sample_ginibre, sample_haar_unitary)
-from .sgn import (SgnParams, SgnTrace, apollonius_contains, mobius,
-                  newton_map, required_precision_sgn, sgn,
+from .sgn import (SgnParams, SgnTrace, required_precision_sgn, sgn,
                   sgn_error_bound, sgn_iteration_count,
                   sgn_params_from_shattering)
 from .shatter import (ShatterParams, gap_tail_bound, shatter,
@@ -25,12 +24,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CertResult", "EigParams", "EigResult", "Grid", "Rng", "RurvResult",
     "SgnParams", "SgnTrace", "ShatterCert", "ShatterParams", "SplitResult",
-    "UNIT_ROUNDOFF", "apollonius_contains", "certify_shattered", "deflate",
-    "eig_backward", "eig_count_signed", "eig_forward",
-    "eig_precision_requirement", "eig_shattered", "gap_tail_bound",
-    "ginibre_sigma_tail", "haar_corner_sigma_min_cdf", "kappa_eig_measure",
-    "kappa_v_upper", "min_gap", "mobius", "newton_map",
-    "pseudospectrum_member", "required_precision_sgn", "rurv",
+    "UNIT_ROUNDOFF", "certify_shattered", "deflate", "eig_backward",
+    "eig_count_signed", "eig_forward", "eig_precision_requirement",
+    "eig_shattered", "gap_tail_bound", "ginibre_sigma_tail",
+    "haar_corner_sigma_min_cdf", "kappa_eig_measure", "kappa_v_upper",
+    "min_gap", "pseudospectrum_member", "required_precision_sgn", "rurv",
     "sample_ginibre", "sample_haar_unitary", "sgn", "sgn_error_bound",
     "sgn_iteration_count", "sgn_params_from_shattering", "shatter",
     "smoothed_bounds", "split",

@@ -45,27 +45,25 @@ def rurv(a, rng: Rng) -> RurvResult:
     return RurvResult(u, r, v)
 
 
-def deflate(p_tilde, k: int, beta: float, eta: float, rng: Rng) -> np.ndarray:
+def deflate(p_tilde, k: int, beta: float, rng: Rng) -> np.ndarray:
     """n x k orthonormal basis approximately spanning range(P).
 
     The caller guarantees ||p_tilde - P|| <= beta <= 1/4 for some rank-k
-    spectral projector P; then with high probability (failure at most
-    (20n)^3 sqrt(beta)/eta^2, or the alternative bookkeeping
-    6000 n^3 sqrt(beta)/eta^2) there is an exact orthonormal basis Q of
-    range(P) with ||Q_tilde - Q|| <= eta. Probabilistic failure is not
-    detectable here; only orthonormality of the output is checked:
+    spectral projector P; then for any eta in (0, 1) there is an exact
+    orthonormal basis Q of range(P) with ||Q_tilde - Q|| <= eta, except
+    with probability calc.deflate_failure_bound(n, beta, eta). This is
+    not detectable here; only orthonormality of the output is checked:
     ||Q_tilde* Q_tilde - I||_2 <= 10 n u, by the Frobenius norm when that
-    bound already clears it, else by the SVD.
+    bound already clears it, else by the SVD. rurv validates p_tilde, and
+    k is checked against its shape.
     """
-    p_tilde = as_cmatrix(p_tilde)
-    n = p_tilde.shape[0]
+    u = rurv(p_tilde, rng).u
+    n = u.shape[0]
     if not 1 <= k < n:
         raise PreconditionError(f"need 1 <= k < n, got k={k}, n={n}")
     if not 0.0 < beta <= 0.25:
         raise PreconditionError("beta must lie in (0, 1/4]")
-    if not 0.0 < eta < 1.0:
-        raise PreconditionError("eta must lie in (0, 1)")
-    q = rurv(p_tilde, rng).u[:, :k]
+    q = u[:, :k]
     gram_err = q.conj().T @ q - np.eye(k)
     tol = 10.0 * n * UNIT_ROUNDOFF
     # ||E||_2 <= ||E||_F: the SVD runs only when the cheap bound exceeds tol

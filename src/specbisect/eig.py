@@ -35,14 +35,18 @@ _BETA_FLOOR = 1e-300
 DEFLATE_RETRY_BUDGET = 2
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class EigParams:
     delta: float
     theta: float
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        _check_delta(self.delta)
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
 
@@ -79,17 +83,15 @@ def _squares(g: Grid, d: np.ndarray) -> list:
     return [g.square_index(complex(lam)) for lam in d]
 
 
-def _eig_node(a, delta: float, g: Grid, eps: float, theta: float,
-              n_global: int, rng: Rng,
+def _eig_node(a: np.ndarray, delta: float, g: Grid, eps: float,
+              theta: float, rng: Rng,
               eigenvalues: np.ndarray | None) -> tuple[np.ndarray,
                                                        np.ndarray, int]:
     """(V, D, depth) of eig_shattered's recursion, neither measured nor
-    assigned to squares: no caller reads an inner node's residual."""
-    a = as_cmatrix(a)
+    assigned to squares: no caller reads an inner node's residual. a is
+    validated by an entry point or built here as Q*AQ, so no node runs
+    the matrix gate."""
     m = a.shape[0]
-    if m > n_global:
-        raise PreconditionError("block size exceeds the global dimension")
-
     if m == 1:
         return (np.eye(1, dtype=np.complex128),
                 np.array([complex(a[0, 0])]), 0)
@@ -100,18 +102,15 @@ def _eig_node(a, delta: float, g: Grid, eps: float, theta: float,
 
     sr = split(a, eps, g, beta, eigenvalues=eigenvalues)
 
-    q_plus = q_minus = None
-    last_err: DeflationError | None = None
     for attempt in range(1 + DEFLATE_RETRY_BUDGET):
         r = rng.child(attempt)
         try:
-            q_plus = deflate(sr.p_plus, sr.n_plus, beta, eta, r.child(0))
-            q_minus = deflate(sr.p_minus, sr.n_minus, beta, eta, r.child(1))
+            q_plus = deflate(sr.p_plus, sr.n_plus, beta, r.child(0))
+            q_minus = deflate(sr.p_minus, sr.n_minus, beta, r.child(1))
             break
         except DeflationError as err:
             last_err = err
-            q_plus = q_minus = None
-    if q_plus is None or q_minus is None:
+    else:
         raise EigFailureError(f"deflation failed after retries: {last_err}")
 
     a_plus = q_plus.conj().T @ a @ q_plus
@@ -119,11 +118,11 @@ def _eig_node(a, delta: float, g: Grid, eps: float, theta: float,
     sub_delta = 4.0 * delta / 5.0
     sub_eps = 4.0 * eps / 5.0
     v_plus, d_plus, depth_plus = _eig_node(
-        a_plus, sub_delta, sr.g_plus, sub_eps, theta, n_global,
-        rng.child(0x51), sr.eigenvalues_plus)
+        a_plus, sub_delta, sr.g_plus, sub_eps, theta, rng.child(0x51),
+        sr.eigenvalues_plus)
     v_minus, d_minus, depth_minus = _eig_node(
-        a_minus, sub_delta, sr.g_minus, sub_eps, theta, n_global,
-        rng.child(0x52), sr.eigenvalues_minus)
+        a_minus, sub_delta, sr.g_minus, sub_eps, theta, rng.child(0x52),
+        sr.eigenvalues_minus)
 
     v = normalize_columns(np.hstack([q_plus @ v_plus, q_minus @ v_minus]))
     d = np.concatenate([d_plus, d_minus])
@@ -131,7 +130,7 @@ def _eig_node(a, delta: float, g: Grid, eps: float, theta: float,
 
 
 def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
-                  n_global: int, rng: Rng,
+                  rng: Rng,
                   eigenvalues: np.ndarray | None = None) -> EigResult:
     """Diagonalize a matrix whose eps-pseudospectrum is shattered w.r.t. g.
 
@@ -146,8 +145,7 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     against A; the recursion below it measures nothing.
     """
     a = as_cmatrix(a)
-    v, d, depth = _eig_node(a, delta, g, eps, theta, n_global, rng,
-                            eigenvalues)
+    v, d, depth = _eig_node(a, delta, g, eps, theta, rng, eigenvalues)
     residual, kv = _measure(a, v, d)
     return EigResult(v, d, residual, kv, _squares(g, d), depth)
 
@@ -161,6 +159,7 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     kappa(V) <= 32 n^2.5 / delta, both measured once, on the returned
     result against A.
     """
+    _check_delta(delta)
     a = as_cmatrix(a)
     n = a.shape[0]
     if op_norm(a) > 1.0 + 1e-12:
@@ -173,7 +172,7 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n)
     v, d, depth = _eig_node(cert.matrix, delta_p, cert.grid, cert.epsilon,
-                            theta, n, rng.child(1), cert.eigenvalues)
+                            theta, rng.child(1), cert.eigenvalues)
     residual, kv = _measure(a, v, d)
     return EigResult(v, d, residual, kv, _squares(cert.grid, d), depth)
 
@@ -187,6 +186,7 @@ def eig_forward(a, delta: float, kappa_eig_bound: float, params: EigParams,
     within delta of the true ones. A K below the true kappa_eig voids the
     contract without raising.
     """
+    _check_delta(delta)
     a = as_cmatrix(a)
     n = a.shape[0]
     if kappa_eig_bound < 1.0:

@@ -73,14 +73,6 @@ class Grid:
         right = Grid(self.z0 + k * self.omega, self.omega, self.s1 - k, self.s2)
         return left, right
 
-    def split_horizontal(self, k: int) -> tuple["Grid", "Grid"]:
-        """Subgrids below/above the k-th horizontal line (0 < k < s2)."""
-        if not 0 < k < self.s2:
-            raise ValueError("interior line index required")
-        bottom = Grid(self.z0, self.omega, self.s1, k)
-        top = Grid(self.z0 + 1j * k * self.omega, self.omega, self.s1, self.s2 - k)
-        return bottom, top
-
     def rotated(self) -> "Grid":
         """Image of this grid under multiplication by i.
 

@@ -2,12 +2,12 @@
 
 All operations work on complex128 ndarrays and are pure: inputs are never
 mutated. Square-matrix kernels validate through as_cmatrix, except
-mat_inv, the per-step kernel of the sign iteration, whose callers pass
-arrays they have validated or built; QR, norms and column scaling accept
-any 2-d array. These are the concrete instantiations of the black-box
-stable primitives (invert, QR, norms) that the higher-level algorithms
-are built on; their stability constants MU_MM, MU_INV, MU_QR and C_INV,
-with UNIT_ROUNDOFF, are what the precision calculators assume.
+mat_inv, the per-step kernel of the sign iteration, and trace: both take
+arrays their caller validated or built. QR, norms and column scaling
+accept any 2-d array. These are the concrete instantiations of the
+black-box stable primitives (invert, QR, norms) that the higher-level
+algorithms are built on; their stability constants MU_MM, MU_INV, MU_QR
+and C_INV, with UNIT_ROUNDOFF, are what the precision calculators assume.
 
 Inversion is one straight LAPACK call, zgesv (a partial-pivot LU, zgetrf,
 then the triangular solves, zgetrs, against a cached identity): mat_inv
@@ -290,8 +290,8 @@ def sigma_min_argmin(zs, a) -> tuple[int, float]:
 
 
 def trace(a) -> complex:
-    """Exactly-rounded sum of the diagonal (compensated accumulation)."""
-    a = as_cmatrix(a)
+    """Exactly-rounded sum of the diagonal (compensated accumulation) of
+    an array its caller built: like mat_inv, trace does not validate."""
     d = np.diag(a)
     return complex(math.fsum(d.real), math.fsum(d.imag))
 

@@ -191,7 +191,7 @@ def test_deflate_subspace_recovery():
             noise = r.child(10 + c).child(t).standard_normal((2, n, n))
             err = noise[0] + 1j * noise[1]
             err *= beta / np.linalg.norm(err, 2)
-            q = deflate(p + err, k, beta, eta, r.child(20 + c).child(t))
+            q = deflate(p + err, k, beta, r.child(20 + c).child(t))
             assert op_norm(q.conj().T @ q - np.eye(k)) <= 10 * n * UNIT_ROUNDOFF
             if subspace_distance(q_exact, q) > eta:
                 bad += 1

@@ -26,14 +26,14 @@ UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 #: every public function taking a matrix, with valid values for the rest
 ENTRY_POINTS = {
     "certify_shattered": lambda a: certify_shattered(a, UNIT8, 0.1),
-    "deflate": lambda a: deflate(a, 1, 0.01, 0.1, Rng(0)),
+    "deflate": lambda a: deflate(a, 1, 0.01, Rng(0)),
     "eig_backward": lambda a: eig_backward(
         a, 0.1, EigParams(delta=0.1, theta=0.5), Rng(0)),
     "eig_count_signed": lambda a: eig_count_signed(a, 0.0, 0.4, UNIT8, 0.02),
     "eig_forward": lambda a: eig_forward(
         a, 0.1, 2.0, EigParams(delta=0.1, theta=0.5), Rng(0)),
     "eig_shattered": lambda a: eig_shattered(
-        a, 0.1, UNIT8, 0.1, 0.5, 4, Rng(0)),
+        a, 0.1, UNIT8, 0.1, 0.5, Rng(0)),
     "kappa_eig_measure": kappa_eig_measure,
     "kappa_v_upper": kappa_v_upper,
     "min_gap": min_gap,
@@ -67,12 +67,11 @@ def _bench_sites():
 EXPORTS = {
     "CertResult", "EigParams", "EigResult", "Grid", "Rng", "RurvResult",
     "SgnParams", "SgnTrace", "ShatterCert", "ShatterParams", "SplitResult",
-    "UNIT_ROUNDOFF", "apollonius_contains", "certify_shattered", "deflate",
-    "eig_backward", "eig_count_signed", "eig_forward",
-    "eig_precision_requirement", "eig_shattered", "gap_tail_bound",
-    "ginibre_sigma_tail", "haar_corner_sigma_min_cdf", "kappa_eig_measure",
-    "kappa_v_upper", "min_gap", "mobius", "newton_map",
-    "pseudospectrum_member", "required_precision_sgn", "rurv",
+    "UNIT_ROUNDOFF", "certify_shattered", "deflate", "eig_backward",
+    "eig_count_signed", "eig_forward", "eig_precision_requirement",
+    "eig_shattered", "gap_tail_bound", "ginibre_sigma_tail",
+    "haar_corner_sigma_min_cdf", "kappa_eig_measure", "kappa_v_upper",
+    "min_gap", "pseudospectrum_member", "required_precision_sgn", "rurv",
     "sample_ginibre", "sample_haar_unitary", "sgn", "sgn_error_bound",
     "sgn_iteration_count", "sgn_params_from_shattering", "shatter",
     "smoothed_bounds", "split",

@@ -48,7 +48,7 @@ def test_rurv_r_triangular():
 def test_deflate_coordinate_projector():
     p = np.zeros((3, 3), dtype=complex)
     p[0, 0] = 1.0
-    q = deflate(p, 1, 1e-8, 1e-2, Rng(6))
+    q = deflate(p, 1, 1e-8, Rng(6))
     assert q.shape == (3, 1)
     assert abs(abs(q[0, 0]) - 1.0) <= 1e-12
     assert np.abs(q[1:, 0]).max() <= 1e-12
@@ -57,7 +57,7 @@ def test_deflate_coordinate_projector():
 def test_deflate_exact_rank_two_projector():
     u = sample_haar_unitary(3, Rng(7))
     p = u[:, :2] @ u[:, :2].conj().T
-    q = deflate(p, 2, 1e-8, 1e-2, Rng(8))
+    q = deflate(p, 2, 1e-8, Rng(8))
     assert op_norm(q @ q.conj().T - p) <= 10 * 3 * UNIT_ROUNDOFF * 1e3
 
 
@@ -75,7 +75,7 @@ def test_deflate_oblique_projector_subspace(rng):
         noise = rng.child(t).standard_normal((2, n, n))
         err = noise[0] + 1j * noise[1]
         err *= beta / np.linalg.norm(err, 2)
-        q = deflate(p + err, 3, beta, eta, rng.child(1000 + t))
+        q = deflate(p + err, 3, beta, rng.child(1000 + t))
         assert op_norm(q.conj().T @ q - np.eye(3)) <= 10 * n * UNIT_ROUNDOFF
         if subspace_distance(q_exact, q) > eta:
             fail += 1
@@ -85,11 +85,11 @@ def test_deflate_oblique_projector_subspace(rng):
 def test_deflate_validation():
     p = np.eye(3, dtype=complex)
     with pytest.raises(PreconditionError):
-        deflate(p, 3, 1e-8, 1e-2, Rng(0))
+        deflate(p, 3, 1e-8, Rng(0))
     with pytest.raises(PreconditionError):
-        deflate(p, 0, 1e-8, 1e-2, Rng(0))
+        deflate(p, 0, 1e-8, Rng(0))
     with pytest.raises(PreconditionError):
-        deflate(p, 1, 0.5, 1e-2, Rng(0))
+        deflate(p, 1, 0.5, Rng(0))
 
 
 def _planted_basis(monkeypatch, n, k, ratio):
@@ -121,7 +121,7 @@ def test_deflate_check_raises_on_two_norm_above_threshold(monkeypatch):
     two = op_norm(err)
     assert tol < two < fro_norm(err)
     with pytest.raises(DeflationError, match=f"residual {two:.3e}"):
-        deflate(np.eye(n, dtype=complex), k, 1e-8, 1e-2, Rng(0))
+        deflate(np.eye(n, dtype=complex), k, 1e-8, Rng(0))
 
 
 def test_deflate_check_passes_two_norm_below_threshold(monkeypatch):
@@ -130,16 +130,25 @@ def test_deflate_check_passes_two_norm_below_threshold(monkeypatch):
     # the Frobenius bound does not clear it, so the SVD decides
     assert op_norm(err) < 10 * n * UNIT_ROUNDOFF < fro_norm(err)
     svds = _calls(monkeypatch, "op_norm")
-    q = deflate(np.eye(n, dtype=complex), k, 1e-8, 1e-2, Rng(0))
+    q = deflate(np.eye(n, dtype=complex), k, 1e-8, Rng(0))
     assert q.shape == (n, k) and svds == ["op_norm"]
 
 
 def test_deflate_check_skips_svd_when_frobenius_clears(monkeypatch):
     svds = _calls(monkeypatch, "op_norm")
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    q = deflate(p, 2, 1e-8, 1e-2, Rng(0))
+    q = deflate(p, 2, 1e-8, Rng(0))
     assert fro_norm(q.conj().T @ q - np.eye(2)) <= 10 * 4 * UNIT_ROUNDOFF
     assert svds == []
+
+
+def test_deflate_runs_the_matrix_gate_once(monkeypatch):
+    # rurv validates the projector; deflate does not validate it again
+    gates = _calls(monkeypatch, "as_cmatrix")
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    for t in range(3):
+        deflate(p, 2, 1e-8, Rng(t))
+        assert len(gates) == t + 1
 
 
 def test_deflate_unitary_equivariance_statistical(rng):
@@ -152,8 +161,8 @@ def test_deflate_unitary_equivariance_statistical(rng):
     pw = w @ p @ w.conj().T
     bad = 0
     for t in range(200):
-        q1 = deflate(p, k, beta, eta, rng.child(100 + t))
-        q2 = deflate(pw, k, beta, eta, rng.child(100 + t))
+        q1 = deflate(p, k, beta, rng.child(100 + t))
+        q2 = deflate(pw, k, beta, rng.child(100 + t))
         if subspace_distance(w @ q1, q2) > 2 * eta:
             bad += 1
     assert bad == 0

@@ -19,7 +19,7 @@ UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
 def test_base_case_1x1():
     a = np.array([[0.3 + 0.1j]])
-    res = eig_shattered(a, 1e-3, UNIT8, 0.4, 0.1, 1, Rng(0))
+    res = eig_shattered(a, 1e-3, UNIT8, 0.4, 0.1, Rng(0))
     assert res.d[0] == 0.3 + 0.1j
     assert res.v[0, 0] == 1.0
     assert res.depth == 0
@@ -28,7 +28,7 @@ def test_base_case_1x1():
 def test_normal_diag_recovery():
     w = np.array([0.5 + 0.5j, -0.5 - 0.5j, 1.5 + 0.5j, -1.5 + 0.5j])
     a = np.diag(w)
-    res = eig_shattered(a, 1e-3, UNIT8, 0.4, 0.25, 4, Rng(1))
+    res = eig_shattered(a, 1e-3, UNIT8, 0.4, 0.25, Rng(1))
     assert res.residual <= 1e-6
     # eigenvalues land in the right squares
     got_squares = sorted(res.square_assignment)
@@ -52,7 +52,7 @@ def test_nonnormal_recovery(rng):
     v0 = np.eye(n) + 0.15 * (e[0] + 1j * e[1]) / math.sqrt(2 * n)
     a = v0 @ np.diag(centers) @ np.linalg.inv(v0)
     assert op_norm(a) <= 4.0  # stays inside the grid's norm precondition
-    res = eig_shattered(a, 1e-3, UNIT8, 0.1, 0.25, n, rng.child(1))
+    res = eig_shattered(a, 1e-3, UNIT8, 0.1, 0.25, rng.child(1))
     # square assignment matches the oracle census
     got = sorted(res.square_assignment)
     want = sorted(UNIT8.square_index(complex(z)) for z in centers)
@@ -88,6 +88,16 @@ def test_backward_diag_and_zero():
     res0 = eig_backward(z, 0.1, EigParams(delta=0.1, theta=0.25), Rng(3))
     assert res0.residual <= 0.1
     assert np.abs(res0.d).max() <= 4 * (0.1 / 8) + 0.05
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.5])
+def test_entry_points_reject_delta_outside_unit_interval(delta):
+    a = np.diag([0.5, -0.5, 0.5j, -0.5j])
+    params = EigParams(delta=0.1, theta=0.5)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        eig_backward(a, delta, params, Rng(0))
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+        eig_forward(a, delta, 2.0, params, Rng(0))
 
 
 def test_backward_norm_check():
@@ -191,7 +201,7 @@ def test_measured_once_at_the_entry_point(monkeypatch, rng, n):
     assert len(measures) == 1
     cert = shatter(a, ShatterParams(gamma=0.05 / 8), rng.child(0))
     measures.clear()
-    res = eig_shattered(cert.matrix, 1e-6, cert.grid, cert.epsilon, 1 / n, n,
+    res = eig_shattered(cert.matrix, 1e-6, cert.grid, cert.epsilon, 1 / n,
                         Rng(9), eigenvalues=cert.eigenvalues)
     assert len(measures) == 1
     # the entry point measures its own argument
@@ -202,13 +212,26 @@ def test_measured_once_at_the_entry_point(monkeypatch, rng, n):
                                      for z in res.d]
 
 
+def test_eig_shattered_runs_the_matrix_gate_once(monkeypatch):
+    # one square of UNIT8 per eigenvalue; inner nodes build Q*AQ and
+    # validate nothing again
+    centers = np.array([-2.5 + 0.5j, -1.5 - 0.5j, -0.5 + 1.5j, 0.5 - 2.5j,
+                        1.5 + 0.5j, 2.5 - 1.5j, 0.5 + 2.5j, -1.5 + 2.5j])
+    gates = _count_calls(monkeypatch, "specbisect.eig", "as_cmatrix")
+    res = eig_shattered(np.diag(centers), 1e-3, UNIT8, 0.4, 0.25, Rng(3))
+    assert res.depth >= 3  # a binary tree with 8 leaves
+    assert sorted(res.square_assignment) == sorted(
+        UNIT8.square_index(complex(z)) for z in centers)
+    assert len(gates) == 1
+
+
 def test_guided_recursion_equals_probing_recursion(monkeypatch, rng):
     n = 16
     g = sample_ginibre(n, rng)
     cert = shatter(g / op_norm(g), ShatterParams(gamma=0.05 / 8), rng.child(0))
     assert len(cert.eigenvalues) == n
     sgns = _count_calls(monkeypatch, "specbisect.split", "sgn")
-    args = (cert.matrix, 1e-6, cert.grid, cert.epsilon, 1 / n, n, Rng(9))
+    args = (cert.matrix, 1e-6, cert.grid, cert.epsilon, 1 / n, Rng(9))
     guided = eig_shattered(*args, eigenvalues=cert.eigenvalues)
     guided_calls = len(sgns)
     probed = eig_shattered(*args)
@@ -228,7 +251,7 @@ def test_theoretical_certificate_solves_by_probing(monkeypatch):
                    Rng(1))
     assert cert.eigenvalues is None
     sgns = _count_calls(monkeypatch, "specbisect.split", "sgn")
-    res = eig_shattered(cert.matrix, 1e-3, cert.grid, cert.epsilon, 1 / n, n,
+    res = eig_shattered(cert.matrix, 1e-3, cert.grid, cert.epsilon, 1 / n,
                         Rng(2), eigenvalues=cert.eigenvalues)
     assert res.residual <= 1e-10
     assert len(sgns) > n - 1  # the search probed lines it did not keep

@@ -54,9 +54,6 @@ def test_splits():
     left, right = g.split_vertical(1)
     assert left == Grid(0, 1.0, 1, 3)
     assert right == Grid(1.0 + 0j, 1.0, 3, 3)
-    bottom, top = g.split_horizontal(2)
-    assert bottom == Grid(0, 1.0, 4, 2)
-    assert top == Grid(2j, 1.0, 4, 1)
     with pytest.raises(ValueError):
         g.split_vertical(0)
 
