@@ -10,7 +10,7 @@ lg denotes log base 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,12 +30,7 @@ class FormulaReport:
     in_hardware_range: bool
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "value": self.value,
-            "in_hardware_range": self.in_hardware_range,
-        }
+        return asdict(self)
 
 
 def prelim_n_bound(t: float, c: float) -> int:
@@ -63,7 +58,7 @@ def one_step_error_bound(norm_a: float, norm_ainv: float, kappa: float,
     (||A|| + ||A^-1|| + mu_inv(n) kappa^(c_inv lg n) ||A^-1||) * 4 sqrt(n) u.
     The kappa power is evaluated in log-space.
     """
-    if min(norm_a, norm_ainv, kappa) <= 0.0 or n < 1:
+    if not (norm_a > 0.0 and norm_ainv > 0.0 and kappa > 0.0) or n < 1:
         raise PreconditionError("inputs must be positive")
     lg_pow = C_INV * math.log2(max(n, 2)) * math.log2(kappa)
     kpow = 2.0**lg_pow if lg_pow < 1023 else math.inf

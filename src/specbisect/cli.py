@@ -9,6 +9,7 @@ included).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import sys
 
@@ -67,6 +68,16 @@ def _run(body) -> None:
     sys.exit(EXIT_OK)
 
 
+def _reports(command):
+    """Make command, a function from a command's options to its report,
+    the command's body: the report goes to stdout and --output, and an
+    error raised on the way maps to its exit code as in _run."""
+    @functools.wraps(command)
+    def body(output, **options):
+        _run(lambda: _emit(command(**options), output))
+    return body
+
+
 def _grid_options(fn):
     for dec in (
         click.option("--z0-re", type=float, required=True),
@@ -112,19 +123,15 @@ def main():
 @click.option("--theta", type=float, default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=str, default=None)
-def eig(input_path, delta, theta, seed, output):
+@_reports
+def eig(input_path, delta, theta, seed):
     """Backward-approximate diagonalization of a matrix with norm <= 1."""
     a = _load(input_path)
-
-    def body():
-        n = a.shape[0]
-        params = EigParams(delta=delta, theta=theta or 1.0 / max(n, 2))
-        res = eig_backward(a, delta, params, Rng(seed))
-        report = res.to_json()
-        report.update({"seed": seed, "delta": delta})
-        _emit(report, output)
-
-    _run(body)
+    if theta is None:
+        theta = 1.0 / max(a.shape[0], 2)
+    res = eig_backward(a, delta, EigParams(delta=delta, theta=theta),
+                       Rng(seed))
+    return {**res.to_json(), "seed": seed, "delta": delta}
 
 
 @main.command("sgn")
@@ -135,19 +142,13 @@ def eig(input_path, delta, theta, seed, output):
 @click.option("--output", type=str, default=None)
 @click.option("--output-matrix", type=str, default=None,
               help="optional path for the computed sign matrix (.mtx)")
-def sgn_cmd(input_path, eps0, alpha0, beta, output, output_matrix):
+@_reports
+def sgn_cmd(input_path, eps0, alpha0, beta, output_matrix):
     """Approximate matrix sign function via Newton iteration."""
-    a = _load(input_path)
-
-    def body():
-        s, trace = sgn(a, SgnParams(eps0, alpha0, beta))
-        if output_matrix:
-            write_matrix(output_matrix, s)
-        report = trace.to_json()
-        report.update({"eps0": eps0, "alpha0": alpha0, "beta": beta})
-        _emit(report, output)
-
-    _run(body)
+    s, trace = sgn(_load(input_path), SgnParams(eps0, alpha0, beta))
+    if output_matrix:
+        write_matrix(output_matrix, s)
+    return {**trace.to_json(), "eps0": eps0, "alpha0": alpha0, "beta": beta}
 
 
 @main.command("split")
@@ -156,16 +157,12 @@ def sgn_cmd(input_path, eps0, alpha0, beta, output, output_matrix):
 @click.option("--beta", type=float, required=True)
 @_grid_options
 @click.option("--output", type=str, default=None)
-def split_cmd(input_path, eps, beta, z0_re, z0_im, omega, s1, s2, output):
+@_reports
+def split_cmd(input_path, eps, beta, z0_re, z0_im, omega, s1, s2):
     """Bisect a shattered spectrum along a balanced grid line."""
     a = _load(input_path)
-
-    def body():
-        g = Grid(complex(z0_re, z0_im), omega, s1, s2)
-        res = split_op(a, eps, g, beta)
-        _emit(res.to_json(), output)
-
-    _run(body)
+    g = Grid(complex(z0_re, z0_im), omega, s1, s2)
+    return split_op(a, eps, g, beta).to_json()
 
 
 @main.command("shatter")
@@ -177,19 +174,14 @@ def split_cmd(input_path, eps, beta, z0_re, z0_im, omega, s1, s2, output):
 @click.option("--output", type=str, default=None)
 @click.option("--output-matrix", type=str, default=None,
               help="optional path for the perturbed matrix (.mtx)")
-def shatter_cmd(input_path, gamma, mode, seed, output, output_matrix):
+@_reports
+def shatter_cmd(input_path, gamma, mode, seed, output_matrix):
     """Perturb and certify a shattering grid for a matrix with norm <= 1."""
     a = _load(input_path)
-
-    def body():
-        cert = shatter(a, ShatterParams(gamma=gamma, mode=mode), Rng(seed))
-        if output_matrix:
-            write_matrix(output_matrix, cert.matrix)
-        report = cert.to_json()
-        report["seed"] = seed
-        _emit(report, output)
-
-    _run(body)
+    cert = shatter(a, ShatterParams(gamma=gamma, mode=mode), Rng(seed))
+    if output_matrix:
+        write_matrix(output_matrix, cert.matrix)
+    return {**cert.to_json(), "seed": seed}
 
 
 @main.command("certify")
@@ -220,22 +212,42 @@ def certify_cmd(input_path, eps, z0_re, z0_im, omega, s1, s2,
     _run(body)
 
 
-#: the options each calc formula reads, in its report's inputs
-_CALC_INPUTS = {
-    "n-formula": ("alpha0", "eps0", "beta"),
-    "sgn-precision": ("n", "alpha0", "eps0", "beta"),
-    "eig-precision": ("n", "eps", "delta", "theta"),
-    "eig-budget": ("n", "eps", "delta", "theta"),
-    "prelim-n": ("t", "c"),
-    "one-step-error": ("norm_a", "norm_ainv", "kappa", "n"),
-    "deflate-failure": ("n", "beta", "eta"),
-    "smoothed-bounds": ("n", "gamma"),
-    "gap-tail": ("n", "gamma", "r"),
+def _value(calculator):
+    """A calc formula whose report adds nothing to the calculator's value."""
+    return lambda **inputs: (calculator(**inputs), {})
+
+
+def _deflate_failure(n, beta, eta):
+    box, appendix = calcmod.deflate_failure_bound(n, beta, eta)
+    return box, {"appendix_value": appendix}
+
+
+def _smoothed_bounds(n, gamma):
+    kv, gap, fail = smoothed_bounds(n, gamma)
+    return fail, {"kappa_v_bound": kv, "gap_bound": gap}
+
+
+#: each calc formula: the options it reads, in its report's inputs, and a
+#: function of them returning (value, extra report fields)
+_CALC = {
+    "n-formula": (("alpha0", "eps0", "beta"), _value(sgn_iteration_count)),
+    "sgn-precision": (("n", "alpha0", "eps0", "beta"),
+                      lambda **kw: (required_precision_sgn(**kw)[1], {})),
+    "eig-precision": (("n", "eps", "delta", "theta"),
+                      _value(eig_precision_requirement)),
+    "eig-budget": (("n", "eps", "delta", "theta"),
+                   _value(eig_iteration_budget)),
+    "prelim-n": (("t", "c"), _value(calcmod.prelim_n_bound)),
+    "one-step-error": (("norm_a", "norm_ainv", "kappa", "n"),
+                       _value(calcmod.one_step_error_bound)),
+    "deflate-failure": (("n", "beta", "eta"), _deflate_failure),
+    "smoothed-bounds": (("n", "gamma"), _smoothed_bounds),
+    "gap-tail": (("n", "gamma", "r"), _value(gap_tail_bound)),
 }
 
 
 @main.command("calc")
-@click.argument("formula", type=click.Choice(list(_CALC_INPUTS)))
+@click.argument("formula", type=click.Choice(list(_CALC)))
 @click.option("--alpha0", type=float)
 @click.option("--eps0", type=float)
 @click.option("--beta", type=float)
@@ -252,50 +264,33 @@ _CALC_INPUTS = {
 @click.option("--norm-a", type=float)
 @click.option("--norm-ainv", type=float)
 @click.option("--output", type=str, default=None)
-def calc_cmd(formula, alpha0, eps0, beta, n, eps, delta, theta, t, c, gamma,
-             r, eta, kappa, norm_a, norm_ainv, output):
+@_reports
+def calc_cmd(formula, **options):
     """Evaluate one closed-form bound and emit a formula report."""
-    given = locals()
-    missing = [name for name in _CALC_INPUTS[formula] if given[name] is None]
+    names, evaluate = _CALC[formula]
+    missing = [name for name in names if options[name] is None]
     if missing:
         raise click.UsageError(
             f"{formula} needs "
             + ", ".join("--" + name.replace("_", "-") for name in missing),
             ctx=click.get_current_context())
-    inputs = {name: given[name] for name in _CALC_INPUTS[formula]}
+    inputs = {name: options[name] for name in names}
+    value, extra = evaluate(**inputs)
+    return {**calcmod.report(formula, inputs, float(value)).to_json(), **extra}
 
-    def body():
-        extra = {}
-        if formula == "n-formula":
-            value = sgn_iteration_count(alpha0, eps0, beta)
-        elif formula == "sgn-precision":
-            _, value = required_precision_sgn(n, alpha0, eps0, beta)
-        elif formula == "eig-precision":
-            value = eig_precision_requirement(n, eps, delta, theta)
-        elif formula == "eig-budget":
-            value = eig_iteration_budget(n, eps, delta, theta)
-        elif formula == "prelim-n":
-            value = calcmod.prelim_n_bound(t, c)
-        elif formula == "one-step-error":
-            value = calcmod.one_step_error_bound(norm_a, norm_ainv, kappa, n)
-        elif formula == "deflate-failure":
-            value, extra["appendix_value"] = calcmod.deflate_failure_bound(
-                n, beta, eta)
-        elif formula == "smoothed-bounds":
-            kv, gap, value = smoothed_bounds(n, gamma)
-            extra = {"kappa_v_bound": kv, "gap_bound": gap}
-        else:
-            value = gap_tail_bound(n, gamma, r)
-        out = calcmod.report(formula, inputs, float(value)).to_json()
-        out.update(extra)
-        _emit(out, output)
 
-    _run(body)
+#: each lab experiment: the options it passes, before trials and the
+#: seeded stream, and its runner
+_LAB = {
+    "gap": (("n", "gamma"), labmod.run_gap_experiment),
+    "haar-sigma": (("n", "r"), labmod.run_haar_sigma_experiment),
+    "r22": (("n", "r", "theta"), labmod.run_r22_experiment),
+    "e2e": (("n", "delta"), labmod.run_e2e_experiment),
+}
 
 
 @main.command("lab")
-@click.argument("experiment", type=click.Choice(
-    ["gap", "haar-sigma", "r22", "e2e"]))
+@click.argument("experiment", type=click.Choice(list(_LAB)))
 @click.option("--n", type=int, required=True)
 @click.option("--gamma", type=float, default=0.1, show_default=True)
 @click.option("--r", type=int, default=1, show_default=True)
@@ -304,22 +299,11 @@ def calc_cmd(formula, alpha0, eps0, beta, n, eps, delta, theta, t, c, gamma,
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=str, default=None)
-def lab_cmd(experiment, n, gamma, r, theta, delta, trials, seed, output):
+@_reports
+def lab_cmd(experiment, trials, seed, **options):
     """Run one Monte-Carlo experiment and emit its report."""
-
-    def body():
-        rng = Rng(seed)
-        if experiment == "gap":
-            rep = labmod.run_gap_experiment(n, gamma, trials, rng)
-        elif experiment == "haar-sigma":
-            rep = labmod.run_haar_sigma_experiment(n, r, trials, rng)
-        elif experiment == "r22":
-            rep = labmod.run_r22_experiment(n, r, theta, trials, rng)
-        else:
-            rep = labmod.run_e2e_experiment(n, delta, trials, rng)
-        _emit(rep.to_json(), output)
-
-    _run(body)
+    names, run = _LAB[experiment]
+    return run(*(options[name] for name in names), trials, Rng(seed)).to_json()
 
 
 if __name__ == "__main__":

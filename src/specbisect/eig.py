@@ -189,7 +189,7 @@ def eig_forward(a, delta: float, kappa_eig_bound: float, params: EigParams,
     _check_delta(delta)
     a = as_cmatrix(a)
     n = a.shape[0]
-    if kappa_eig_bound < 1.0:
+    if not kappa_eig_bound >= 1.0:
         raise PreconditionError("kappa_eig_bound must be >= 1")
     inner = delta / (6.0 * n * kappa_eig_bound)
     return eig_backward(a, inner, params, rng)

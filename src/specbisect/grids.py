@@ -34,8 +34,8 @@ class Grid:
     s2: int
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         if self.s1 < 1 or self.s2 < 1:
             raise ValueError("s1 and s2 must be >= 1")
 
@@ -129,7 +129,7 @@ class ShatterCert:
                                            compare=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.epsilon > self.grid.omega / 2 + 1e-15 * self.grid.omega:
             raise ValueError("shattering requires epsilon <= omega/2")
@@ -158,7 +158,7 @@ class CertResult:
 
 def pseudospectrum_member(a, eps: float, z: complex) -> bool:
     """True iff z lies in the eps-pseudospectrum of a."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     return bool(sigma_min_shifted_batch([z], a)[0] < eps)
 
@@ -180,7 +180,7 @@ def certify_shattered(a, g: Grid, eps: float,
     under-resolution visible (re-run with a denser mesh to tighten it).
     """
     a = as_cmatrix(a)
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     evals = np.linalg.eigvals(a)
 

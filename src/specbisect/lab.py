@@ -10,7 +10,7 @@ are reproducible bit-for-bit from their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,15 +38,7 @@ class ExperimentReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "trials": self.trials,
-            "statistic": self.statistic,
-            "bound": self.bound,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def binomial_sigma(p: float, trials: int) -> float:

@@ -80,7 +80,7 @@ def ginibre_sigma_tail(n: int, j: int, alpha: float) -> float:
     """Upper bound on P[sigma_j(G_n) < alpha*(n-j+1)/n]: (sqrt(2e)*alpha)^(2(n-j+1)^2)."""
     if not 1 <= j <= n:
         raise ValueError("require 1 <= j <= n")
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
     if alpha == 0.0:
         return 0.0

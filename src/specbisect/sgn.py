@@ -194,7 +194,7 @@ def sgn_params_from_shattering(eps: float, grid_diag) -> tuple[float, float]:
     alpha0 = 1 - eps/diag^2. Accepts a Grid or its diagonal length.
     """
     grid_diag = getattr(grid_diag, "diag", grid_diag)
-    if eps <= 0.0 or grid_diag <= 0.0:
+    if not (eps > 0.0 and grid_diag > 0.0):
         raise ValueError("eps and grid_diag must be positive")
     s = eps / grid_diag**2
     if s >= 1.0:
@@ -211,7 +211,7 @@ def sgn_error_bound(alpha_n: float, eps_n: float) -> float:
     """||A_N - sgn(A)|| <= 8 alpha_N^2 / ((1-alpha_N)^2 (1+alpha_N) eps_N)."""
     if not 0.0 < alpha_n < 1.0:
         raise ValueError("alpha_n must lie in (0, 1)")
-    if eps_n <= 0.0:
+    if not eps_n > 0.0:
         raise ValueError("eps_n must be positive")
     return 8.0 * alpha_n**2 / ((1.0 - alpha_n) ** 2 * (1.0 + alpha_n) * eps_n)
 
@@ -222,9 +222,9 @@ def pseudospectral_step(alpha: float, alpha_next: float, eps: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if alpha_next < alpha * alpha:
+    if not alpha_next >= alpha * alpha:
         raise ValueError("alpha_next must be >= alpha^2")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     return eps * (alpha_next - alpha * alpha) * (1.0 - alpha * alpha) / (8.0 * alpha)
 
@@ -261,7 +261,7 @@ def condition_bounds_from_pseudospectrum(alpha: float, eps: float
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     return 1.0 / eps, 4.0 * alpha / ((1.0 - alpha) ** 2 * eps)
 

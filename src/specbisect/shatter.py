@@ -63,9 +63,9 @@ def gap_tail_bound(n: int, gamma: float, r: float) -> float:
     """min(1, 42 (n/gamma)^3.2 r^1.2 + 2 e^{-2n}), a bound on P[gap(X) < r]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError("r must be nonnegative")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     return min(1.0, 42.0 * (n / gamma) ** 3.2 * r**1.2 + 2.0 * math.exp(-2.0 * n))
 

@@ -168,7 +168,7 @@ def split(a, eps: float, g: Grid, beta: float,
     # ||A||_2 <= ||A||_F: the SVD runs only when the cheap bound exceeds 4
     if fro_norm(a) > 4.0 + 1e-9 and op_norm(a) > 4.0 + 1e-9:
         raise PreconditionError("split requires ||A|| <= 4")
-    if beta > 0.05 / n:
+    if not beta <= 0.05 / n:
         raise PreconditionError("split requires beta <= 0.05/n")
     side_slack = 2.0 * g.omega
     if g.s1 * g.omega > 8.0 + side_slack or g.s2 * g.omega > 8.0 + side_slack:

@@ -5,6 +5,7 @@ same two exception types."""
 
 import dataclasses
 import importlib
+import math
 import importlib.util
 from pathlib import Path
 
@@ -12,14 +13,18 @@ import numpy as np
 import pytest
 
 import specbisect
-from specbisect import (EigParams, Grid, Rng, SgnParams, ShatterParams,
-                        certify_shattered, deflate, eig_backward,
-                        eig_count_signed, eig_forward, eig_shattered,
+from specbisect import (EigParams, Grid, Rng, SgnParams, ShatterCert,
+                        ShatterParams, certify_shattered, deflate,
+                        eig_backward, eig_count_signed, eig_forward,
+                        eig_shattered, gap_tail_bound, ginibre_sigma_tail,
                         kappa_eig_measure, kappa_v_upper, min_gap,
-                        pseudospectrum_member, rurv, sgn, shatter, split)
-from specbisect.calc import kappa_sign_estimate
+                        pseudospectrum_member, rurv, sgn, sgn_error_bound,
+                        sgn_params_from_shattering, shatter, split)
+from specbisect.calc import kappa_sign_estimate, one_step_error_bound
 from specbisect.errors import DimensionError
 from specbisect.kernels import sigma_min_argmin
+from specbisect.sgn import (condition_bounds_from_pseudospectrum,
+                            pseudospectral_step)
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
@@ -114,3 +119,61 @@ def test_entry_point_rejects_bad_matrix(entry, kind):
         ENTRY_POINTS[entry](a)
     if error is ValueError:
         assert not isinstance(exc.value, DimensionError)
+
+
+_GRID4 = Grid(complex(-1, -1), 0.5, 4, 4)
+
+#: every public scalar range check, as (function of the checked value, a
+#: finite value outside its range)
+RANGE_CHECKS = {
+    "certify_shattered.eps": (lambda x: certify_shattered(
+        np.diag([0.5, -0.5]), _GRID4, x), -1.0),
+    "ShatterCert.epsilon": (lambda x: ShatterCert(
+        np.eye(2), _GRID4, x, 0.1), -1.0),
+    "Grid.omega": (lambda x: Grid(0j, x, 4, 4), -1.0),
+    "pseudospectrum_member.eps": (lambda x: pseudospectrum_member(
+        np.eye(2), x, 0j), -1.0),
+    "gap_tail_bound.gamma": (lambda x: gap_tail_bound(4, x, 0.01), -1.0),
+    "gap_tail_bound.r": (lambda x: gap_tail_bound(4, 0.1, x), -1.0),
+    "sgn_error_bound.eps_n": (lambda x: sgn_error_bound(0.5, x), -1.0),
+    "pseudospectral_step.alpha_next": (
+        lambda x: pseudospectral_step(0.5, x, 0.1), 0.0),
+    "pseudospectral_step.eps": (
+        lambda x: pseudospectral_step(0.5, 0.5, x), -1.0),
+    "condition_bounds_from_pseudospectrum.eps": (
+        lambda x: condition_bounds_from_pseudospectrum(0.5, x), -1.0),
+    "ginibre_sigma_tail.alpha": (lambda x: ginibre_sigma_tail(4, 2, x), -1.0),
+    "sgn_params_from_shattering.eps": (
+        lambda x: sgn_params_from_shattering(x, 2.0), -1.0),
+    "sgn_params_from_shattering.grid_diag": (
+        lambda x: sgn_params_from_shattering(0.1, x), -1.0),
+    "one_step_error_bound.norm_a": (
+        lambda x: one_step_error_bound(x, 1.0, 1.0, 4), -1.0),
+    "one_step_error_bound.norm_ainv": (
+        lambda x: one_step_error_bound(1.0, x, 1.0, 4), -1.0),
+    "one_step_error_bound.kappa": (
+        lambda x: one_step_error_bound(1.0, 1.0, x, 4), -1.0),
+    "split.beta": (lambda x: split(
+        np.diag([-0.5 - 0.5j, 0.5 + 0.5j]), 0.4, UNIT8, x), 1.0),
+    "eig_forward.kappa_eig_bound": (lambda x: eig_forward(
+        0.5 * np.eye(2), 0.1, x, EigParams(delta=0.1, theta=0.5), Rng(0)),
+        0.5),
+}
+
+
+@pytest.mark.parametrize("check", RANGE_CHECKS)
+def test_range_checks_reject_nan(check):
+    """NaN fails every range check the way an out-of-range value does:
+    same exception type, same message."""
+    call, bad = RANGE_CHECKS[check]
+    with pytest.raises(Exception) as expected:
+        call(bad)
+    with pytest.raises(Exception) as got:
+        call(math.nan)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_grid_rejects_infinite_omega():
+    with pytest.raises(ValueError, match="positive and finite"):
+        Grid(0j, math.inf, 4, 4)

@@ -49,6 +49,14 @@ def test_eig_norm_violation_exit_1(tmp_path, runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("theta", ["0", "-1", "2"])
+def test_eig_theta_out_of_range_exit_1(tmp_path, runner, theta):
+    path = _write(tmp_path, "a.mtx", 0.5 * np.eye(2))
+    res = runner.invoke(main, ["eig", "--input", path, "--theta", theta])
+    assert res.exit_code == 1, res.output
+    assert "theta must lie in (0, 1)" in res.output
+
+
 def test_missing_input_exit_3(runner):
     res = runner.invoke(main, ["eig", "--input", "/nope/none.mtx"])
     assert res.exit_code == 3
@@ -147,6 +155,13 @@ def test_calc_invalid_inputs_exit_1(runner):
     res = runner.invoke(main, ["calc", "n-formula", "--alpha0", "1.5",
                                "--eps0", "0.01", "--beta", "1e-3"])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("option", ["--gamma", "--r"])
+def test_calc_gap_tail_nan_exit_1(runner, option):
+    options = {"--n": "4", "--gamma": "0.1", "--r": "0.01", option: "nan"}
+    res = runner.invoke(main, _calc_args("gap-tail", options))
+    assert res.exit_code == 1, res.output
 
 
 @pytest.mark.parametrize("formula,options", [

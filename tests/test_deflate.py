@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_projector, subspace_distance
 from specbisect.deflate import RurvResult, deflate, rurv
@@ -184,3 +186,24 @@ def test_r22_tail_bound_monte_carlo():
             viol += 1
     sigma_slack = math.sqrt(theta**2 * (1 - theta**2) / trials)
     assert viol / trials <= theta**2 + 3 * sigma_slack
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), data=st.data(), real=st.booleans(),
+       seed=st.integers(0, 2**16),
+       beta=st.floats(1e-12, 0.25))
+def test_deflate_exact_projector_orthonormal_or_typed_error(n, data, real,
+                                                           seed, beta):
+    """On an exact oblique rank-k projector, deflate returns an n x k basis
+    orthonormal to 10 n u or raises DeflationError."""
+    k = data.draw(st.integers(1, n - 1), label="k")
+    g = Rng(seed).standard_normal((2, n, n))
+    v = g[0] if real else g[0] + 1j * g[1]
+    p = v[:, :k] @ np.linalg.inv(v)[:k, :]
+    try:
+        q = deflate(p, k, beta, Rng(seed, (1,)))
+    except DeflationError:
+        return
+    assert q.shape == (n, k)
+    assert (np.linalg.norm(q.conj().T @ q - np.eye(k), 2)
+            <= 10 * n * UNIT_ROUNDOFF)

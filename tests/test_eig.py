@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import phase_align
 from specbisect.eig import (EigParams, eig_backward, eig_forward,
                             eig_iteration_budget, eig_precision_requirement,
                             eig_shattered, kappa_eig_measure)
-from specbisect.errors import PreconditionError
+from specbisect.errors import PreconditionError, SpecBisectError
 from specbisect.grids import Grid
 from specbisect.kernels import op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
@@ -255,3 +257,38 @@ def test_theoretical_certificate_solves_by_probing(monkeypatch):
                         Rng(2), eigenvalues=cert.eigenvalues)
     assert res.residual <= 1e-10
     assert len(sgns) > n - 1  # the search probed lines it did not keep
+
+
+def _property_input(kind, n, rng):
+    """An n x n input of the given kind, before scaling."""
+    g = rng.standard_normal((2, n, n))
+    if kind == "real":
+        return g[0]
+    if kind == "jordan":
+        lam = complex(*rng.uniform(-1.0, 1.0, 2))
+        return lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+    if kind == "repeated":
+        # n // 2 distinct values, each at least twice
+        w = rng.uniform(-1.0, 1.0, (2, 3))
+        values = (w[0] + 1j * w[1])[np.arange(n) % (n // 2)]
+        v = g[0] + 1j * g[1]
+        return v @ np.diag(values) @ np.linalg.inv(v)
+    return g[0] + 1j * g[1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["complex", "real", "jordan", "repeated"]),
+       n=st.integers(2, 6), seed=st.integers(0, 2**16),
+       delta=st.floats(0.01, 0.5))
+def test_eig_backward_finite_or_typed_error(kind, n, seed, delta):
+    """At ||A|| = 1, eig_backward returns finite V and D (and a finite
+    residual and kappa_V) or raises a SpecBisectError, nothing else."""
+    a = _property_input(kind, n, Rng(seed))
+    a = a / np.linalg.norm(a, 2)
+    try:
+        res = eig_backward(a, delta, EigParams(delta=delta, theta=0.5),
+                           Rng(seed, (1,)))
+    except SpecBisectError:
+        return
+    assert np.isfinite(res.v).all() and np.isfinite(res.d).all()
+    assert math.isfinite(res.residual) and math.isfinite(res.kappa_v)
