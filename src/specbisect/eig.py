@@ -72,7 +72,7 @@ class EigResult:
 
 
 def _measure(a, v, d) -> tuple[float, float]:
-    vinv = mat_inv(v)
+    vinv, _ = mat_inv(v)
     residual = op_norm(a - v @ np.diag(d) @ vinv)
     kv = op_norm(v) * op_norm(vinv)
     return residual, kv

@@ -12,13 +12,14 @@ class DimensionError(SpecBisectError):
 class SingularMatrixError(SpecBisectError):
     """Matrix is singular to working precision.
 
-    Carries the magnitude of the failing pivot so callers can distinguish
-    exact singularity from near-breakdown.
+    Carries the condition estimate ||A||_F ||A^-1||_F that failed the test,
+    NaN for an exactly zero pivot, so callers can distinguish exact
+    singularity from near-breakdown.
     """
 
-    def __init__(self, message, pivot=None):
+    def __init__(self, message, condition=None):
         super().__init__(message)
-        self.pivot = pivot
+        self.condition = condition
 
 
 class ZeroColumnError(SpecBisectError):

@@ -9,14 +9,18 @@ black-box stable primitives (invert, QR, norms) that the higher-level
 algorithms are built on; their stability constants MU_MM, MU_INV, MU_QR
 and C_INV, with UNIT_ROUNDOFF, are what the precision calculators assume.
 
-Inversion is one straight LAPACK call, zgesv (a partial-pivot LU, zgetrf,
-then the triangular solves, zgetrs, against a cached identity): mat_inv
-judges singularity by a single pivot test on the factors' diagonal that
-zgesv returns, so a Newton sign step costs one factorization and one
-wrapper call. QR is two straight LAPACK calls (zgeqrf, zungqr) with the
-workspaces scipy.linalg.qr would query, cached per shape like op_norm's
-zgesdd workspace: on the small blocks deep in the recursion the wrappers,
-not LAPACK, would otherwise set the cost.
+The LAPACK routines come through numpy's bundled OpenBLAS, so the solver
+runs without scipy. Inversion is one call of numpy's inv gufunc, LAPACK's
+zgesv (a partial-pivot LU, zgetrf, then the triangular solves, zgetrs,
+against the identity); numpy exposes no LU factors, so mat_inv judges
+singularity from the Frobenius norms of the matrix and its inverse, and a
+Newton sign step costs one factorization and one gufunc call. QR is
+numpy's two qr gufuncs (zgeqrf in place, then zungqr), the operator norm
+np.linalg.svd without vectors (zgesdd), and the Frobenius norm one BLAS
+inner product: on the small blocks deep in the recursion the wrappers,
+not LAPACK, would otherwise set the cost, so the hot kernels skip the
+public np.linalg wrappers. Each returns, bit for bit, what the scipy.linalg
+routine of the same LAPACK call does (the tests compare them).
 
 Shifted smallest singular values have one kernel,
 sigma_min_shifted_batch: the exact value from one SVD per shift.
@@ -35,7 +39,7 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, SingularMatrixError, ZeroColumnError
 
@@ -71,8 +75,9 @@ def as_cmatrix(a) -> np.ndarray:
     return m
 
 
-#: mat_inv calls a matrix singular when min|U_ii| <= max(n, PIVOT_FLOOR) u
-#: max|U_ii|; the floor keeps a relative pivot of at least 10u at small n
+#: mat_inv calls a matrix singular to working precision when
+#: ||A||_F ||A^-1||_F >= 1/(max(n, PIVOT_FLOOR) u); the floor keeps the
+#: threshold at or below 1/(10u) at small n
 PIVOT_FLOOR = 10
 
 
@@ -80,74 +85,101 @@ def lu_pivot_extremes(a) -> tuple[float, float]:
     """(smallest, largest) |U_ii| from a partial-pivot LU of a.
 
     The ratio largest/smallest is a cheap growth-based condition estimate.
-    LAPACK's getrf is called directly: lu_factor would turn an exactly zero
-    pivot into a LinAlgWarning, where the caller reads the pivots itself.
+    No solver path calls it. LAPACK's getrf is called directly: lu_factor
+    would turn an exactly zero pivot into a LinAlgWarning, where the caller
+    reads the pivots itself. scipy.linalg is imported here, not with the
+    module, so that the solver runs without it.
     """
+    import scipy.linalg
+
     a = as_cmatrix(a)
     lu, _, _ = scipy.linalg.lapack.zgetrf(a)
     d = np.abs(np.diag(lu))
     return float(d.min()), float(d.max())
 
 
-@functools.lru_cache(maxsize=128)
-def _identity(n: int) -> np.ndarray:
-    """Read-only Fortran-ordered n x n identity, the right-hand side of
-    mat_inv's zgesv; zgesv gets a copy, never this array."""
-    eye = np.eye(n, dtype=np.complex128, order="F")
-    eye.setflags(write=False)
-    return eye
-
-
-def mat_inv(a) -> np.ndarray:
-    """Invert via one zgesv call; raise if singular to working precision.
+def mat_inv(a, a_fro: float | None = None) -> tuple[np.ndarray, float]:
+    """(A^-1, ||A^-1||_F) via one zgesv call; raise if A is singular to
+    working precision.
 
     The caller passes a finite square complex128 array: sgn validates its
     input once and checks every iterate for finiteness, and eig._measure
-    inverts an eigenvector matrix it assembled, so mat_inv does not run
-    as_cmatrix on every Newton step. A NaN that reaches the pivots still
-    raises ValueError.
+    and grids.eig_pairs invert eigenvector matrices they hold, so mat_inv
+    does not run as_cmatrix on every Newton step. A NaN or Inf that
+    reaches it still raises ValueError.
 
-    LAPACK's gesv factors (getrf) and solves against a copy of the cached
-    identity (getrs, the routine lu_solve wraps) in one call, so the
-    inverse is what lu_solve(lu_factor(a), I) gives, bit for bit, without
-    scipy's per-call wrappers. Before the inverse is returned, a single
-    pivot test on the returned factors' diagonal raises SingularMatrixError
-    when min|U_ii| <= max(n, PIVOT_FLOOR) u max|U_ii| (an exactly zero
-    pivot, where gesv stops before the solve, included).
+    numpy's inv gufunc solves against the identity with LAPACK's gesv (a
+    partial-pivot LU, getrf, then getrs), so the inverse is what
+    lu_solve(lu_factor(a), I) gives, bit for bit, without the public
+    np.linalg.inv's per-call wrapper. numpy exposes no LU factors, so the
+    singularity test reads the Frobenius norms: SingularMatrixError when
+    ||A||_F ||A^-1||_F >= 1/(max(n, PIVOT_FLOOR) u), a scale-free upper
+    bound on kappa_2(A). An exactly zero pivot, where gesv stops before
+    the solve and numpy fills the inverse with NaN, raises it too. An
+    inverse or a norm product that overflows while A is finite and, scaled
+    by a power of two to entries below 1, passes the test, is returned as
+    it is: sgn's finiteness check on the next iterate sees it.
+
+    Compared with the LU pivot test min|U_ii| <= max(n, PIVOT_FLOOR) u
+    max|U_ii|, every matrix that test calls singular is singular here too,
+    and the decisions differ in two regions (tests/test_kernels.py pins
+    both, with scipy's lu_factor as the oracle). Near the threshold: on
+    diag(1, ..., 1, r) the product is sqrt(n - 1 + r^2) sqrt(n - 1 + 1/r^2)
+    ~ sqrt(n - 1)/r, so relative pivots r from max(n, PIVOT_FLOOR) u up to
+    about sqrt(n - 1) times that are singular here only. And on matrices
+    singular to working precision whose pivots all look alike:
+    ill-conditioned ones such as [[t, 1], [0, t]] with t = 3e-21, and
+    exactly singular ones with subnormal entries, whose LU rounds in the
+    subnormal range.
+
+    sgn passes a_fro = ||A||_F, which it holds already, and holds an
+    np.errstate of its own. Without a_fro, mat_inv takes the norm and
+    holds one itself, so that an exactly zero pivot raises without
+    numpy's invalid-value warning.
     """
-    n = a.shape[0]
-    lu, _, inv, _ = scipy.linalg.lapack.zgesv(a, _identity(n))
-    d = np.abs(lu.diagonal())
-    d.sort()  # both ends from one call; a NaN pivot sorts last
-    pivot_min, pivot_max = float(d[0]), float(d[-1])
-    if math.isnan(pivot_max):
+    if a_fro is None:
+        with np.errstate(invalid="ignore"):
+            return mat_inv(a, fro_norm(a))
+    inv = _umath_linalg.inv(a, signature="D->D")
+    inv_fro = fro_norm(inv)
+    cond = a_fro * inv_fro
+    limit = 1.0 / (max(a.shape[0], PIVOT_FLOOR) * UNIT_ROUNDOFF)
+    if not cond < limit:
+        _singular_or_overflow(a, cond, limit)
+    return inv, inv_fro
+
+
+def _singular_or_overflow(a, cond: float, limit: float) -> None:
+    """mat_inv's verdict once ||A||_F ||A^-1||_F = cond fails cond < limit:
+    raise, unless A is finite and well conditioned and only its scale
+    made the inverse or the product overflow."""
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    if pivot_min <= max(n, PIVOT_FLOOR) * UNIT_ROUNDOFF * pivot_max:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (pivot {pivot_min:.3e})",
-            pivot=pivot_min,
-        )
-    return inv
+    if math.isnan(cond) or cond == math.inf:
+        # an overflow, or an exactly zero pivot, where gesv stops and numpy
+        # fills the inverse with NaN; a subnormal pivot can give that NaN
+        # too. A scaled by a power of two to entries below 1, which leaves
+        # the LU's pivoting unchanged, tells the two apart.
+        b = np.array(a, dtype=np.complex128)
+        parts = b.view(np.float64)
+        peak = float(np.abs(parts).max())
+        if peak > 0.0:
+            np.ldexp(parts, -math.frexp(peak)[1], out=parts)
+            b_inv = _umath_linalg.inv(b, signature="D->D")
+            cond = fro_norm(b) * fro_norm(b_inv)
+            if cond < limit:
+                return
+    raise SingularMatrixError(
+        f"matrix is singular to working precision "
+        f"(||A||_F ||A^-1||_F = {cond:.3e})", condition=cond)
 
 
 @functools.lru_cache(maxsize=128)
-def _qr_plan(m: int, n: int) -> tuple[int, int, np.ndarray]:
-    """(zgeqrf lwork, zungqr lwork, mask below R's diagonal) of an m x n QR.
-
-    The two workspace sizes are what scipy.linalg.qr's queries return; they
-    depend on the shape alone, and the blocking LAPACK picks follows them,
-    so the factors come out as scipy's, bit for bit.
-    """
-    k = min(m, n)
-    work = scipy.linalg.lapack.zgeqrf(
-        np.zeros((m, n), np.complex128, order="F"), lwork=-1)[2]
-    geqrf_lwork = int(work[0].real)
-    work = scipy.linalg.lapack.zungqr(
-        np.zeros((m, k), np.complex128, order="F"),
-        np.zeros(k, np.complex128), lwork=-1)[1]
+def _below_diagonal(k: int, n: int) -> np.ndarray:
+    """Read-only mask of the entries below the diagonal of a k x n array."""
     below = np.tri(k, n, -1, dtype=bool)
     below.setflags(write=False)
-    return geqrf_lwork, int(work[0].real), below
+    return below
 
 
 def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
@@ -158,71 +190,75 @@ def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
     diagonal phase fix; it is what makes the Q of a Ginibre matrix exactly
     Haar distributed.
 
-    LAPACK's geqrf and ungqr are called directly with the workspaces
-    scipy.linalg.qr queries (cached per shape, _qr_plan), and the phase fix
-    scales R's rows and Q's columns once each: (Q, R) are, bit for bit,
-    those of scipy.linalg.qr(mode="economic") with the phase fix applied.
+    numpy's qr gufuncs run LAPACK's geqrf (in place, on a copy) and ungqr
+    with the workspaces their size queries give, as scipy.linalg.qr's do,
+    and Q is written into a Fortran-ordered array, the layout scipy
+    returns. The phase fix scales R's rows and Q's columns once each: (Q,
+    R) are, bit for bit and stride for stride, those of
+    scipy.linalg.qr(mode="economic") with the phase fix applied.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    m, n = a.shape
+    qr = np.array(a, dtype=np.complex128)  # geqrf overwrites it
+    m, n = qr.shape
     k = min(m, n)
-    if k == 0:  # LAPACK rejects an empty matrix's workspace queries
+    if k == 0:  # LAPACK rejects an empty matrix
         return (np.empty((m, 0), np.complex128),
                 np.empty((0, n), np.complex128))
-    geqrf_lwork, ungqr_lwork, below = _qr_plan(m, n)
-    qr, tau, _, info = scipy.linalg.lapack.zgeqrf(a, lwork=geqrf_lwork)
-    _check_info("zgeqrf", info)
+    tau = _umath_linalg.qr_r_raw(qr, signature="D->D")
     d = qr.diagonal()
     absd = np.abs(d)
     ph = np.divide(d, absd, out=np.ones(k, np.complex128), where=absd > 0.0)
     r = np.empty((k, n), np.complex128)
     np.multiply(np.conj(ph)[:, np.newaxis], qr[:k], out=r)
-    r[below] = 0.0  # the product holds scaled reflectors there
+    r[_below_diagonal(k, n)] = 0.0  # the product holds scaled reflectors
     r.flat[::n + 1] = absd
-    # overwrites the reflectors in qr, which R no longer reads
-    q, _, info = scipy.linalg.lapack.zungqr(qr[:, :k], tau, lwork=ungqr_lwork,
-                                            overwrite_a=1)
-    _check_info("zungqr", info)
+    q = np.empty((m, k), np.complex128, order="F")
+    _umath_linalg.qr_reduced(qr, tau, signature="DD->D", out=q)
     q *= ph
     return q, r
-
-
-def _check_info(routine: str, info: int) -> None:
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of {routine}")
-
-
-@functools.lru_cache(maxsize=128)
-def _gesdd_lwork(m: int, n: int) -> int:
-    """zgesdd's workspace for singular values alone, as svdvals queries it."""
-    lwork, info = scipy.linalg.lapack.zgesdd_lwork(m, n, compute_uv=0)
-    if info != 0:
-        raise ValueError(f"zgesdd workspace query failed (info {info})")
-    return int(lwork.real)
 
 
 def op_norm(a) -> float:
     """Spectral norm (largest singular value).
 
-    LAPACK's gesdd is called directly with the workspace its size query
-    gives (cached per shape), as svdvals does, so the value is svdvals' bit
-    for bit, without scipy's per-call batching wrapper.
+    np.linalg.svd without vectors runs LAPACK's gesdd with the workspace
+    its size query gives, as scipy.linalg.svdvals does, so the value is
+    svdvals' bit for bit.
     """
     a = np.asarray(a, dtype=np.complex128)
     if not a.any():
         return 0.0
-    _, svals, _, info = scipy.linalg.lapack.zgesdd(
-        a, compute_uv=0, lwork=_gesdd_lwork(*a.shape))
-    if info > 0:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    _check_info("zgesdd", info)
-    return float(svals[0])
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+#: sums of squares below this lose bits to subnormal squares (u times the
+#: smallest normal double); fro_norm rescales them, and overflowing ones
+_SUMSQ_MIN = 2.0**-969
 
 
 def fro_norm(a) -> float:
-    """Frobenius norm by BLAS nrm2: O(n^2), and scaled, so it overflows
-    only when the norm itself exceeds the double range."""
-    return float(scipy.linalg.blas.dznrm2(a.ravel(order="K")))
+    """Frobenius norm: O(n^2), and scaled when the plain sum of squares
+    would overflow or underflow, so it overflows only when the norm itself
+    exceeds the double range. NaN and Inf entries propagate. The sum runs
+    in row-major order whatever the memory layout (np.vdot)."""
+    sumsq = float(np.vdot(a, a).real)
+    if _SUMSQ_MIN <= sumsq < math.inf:
+        return math.sqrt(sumsq)
+    return _fro_norm_scaled(a, sumsq)
+
+
+def _fro_norm_scaled(a, sumsq: float) -> float:
+    """fro_norm of the array a whose plain sum of squares is sumsq."""
+    if sumsq == 0.0 and not a.any():
+        return 0.0
+    # the real and imaginary parts: the norm is their 2-norm, and dividing
+    # them by a subnormal scale, unlike complex division, cannot overflow
+    parts = np.abs(np.ascontiguousarray(a, np.complex128)
+                   .view(np.float64)).ravel()
+    if not np.isfinite(parts).all():
+        return math.sqrt(sumsq)  # NaN or Inf entries: so is sumsq
+    scale = float(parts.max())
+    parts /= scale
+    return scale * math.sqrt(float(parts @ parts))
 
 
 def sigma_min_shifted_batch(zs, a) -> np.ndarray:

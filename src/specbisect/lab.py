@@ -149,6 +149,8 @@ def run_r22_experiment(n: int, r: int, theta: float, trials: int, rng: Rng
     """
     if not 0 < r < n:
         raise ValueError("require 0 < r < n")
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
     _check_trials(trials)
     a = _fixed_sigma_matrix(n, r, R22_TAIL, rng.child(0))
     cutoff = math.sqrt(r * (n - r)) / theta * R22_TAIL

@@ -1,10 +1,13 @@
-"""Matrix Market reading and writing (dense complex matrices)."""
+"""Matrix Market reading and writing (dense complex matrices).
+
+scipy.io and scipy.sparse are imported by the two functions, not with the
+module: they load well over a hundred scipy modules, which the CLI
+commands that read no matrix should not pay for.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -14,6 +17,9 @@ def read_matrix(path: str) -> np.ndarray:
     zeros for missing entries. Only 'general' symmetry is accepted, so a
     file never means more than what it literally stores.
     """
+    import scipy.io
+    import scipy.sparse
+
     _, _, _, _, field, symmetry = scipy.io.mminfo(path)
     if symmetry != "general":
         raise ValueError(
@@ -30,5 +36,7 @@ def read_matrix(path: str) -> np.ndarray:
 def write_matrix(path: str, a) -> None:
     """Write a dense complex matrix in Matrix Market array format with
     enough digits (17 significant) to round-trip doubles exactly."""
+    import scipy.io
+
     a = np.asarray(a, dtype=np.complex128)
     scipy.io.mmwrite(path, a, precision=17, symmetry="general")

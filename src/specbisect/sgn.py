@@ -7,10 +7,11 @@ iteration count and precision formulas here are closed forms derived from
 that geometry; sgn() returns what exactly that many steps of the matrix
 iteration give, bit for bit, and stops early once an iterate repeats one
 it has already seen, from which point the rest of the run is known. A
-step costs one LAPACK zgesv call (one LU and its solve against the
-identity, mat_inv) and one Frobenius norm of the new iterate, which
-serves the trace, the finiteness check and the repeat search at once;
-bytes are compared only between iterates of equal norm.
+step costs one LAPACK zgesv call through numpy (one LU and its solve
+against the identity, mat_inv) and two Frobenius norms, of the inverse
+and of the new iterate, which serve the singularity test, the trace, the
+finiteness check and the repeat search at once; bytes are compared only
+between iterates of equal norm.
 
 lg denotes log base 2 throughout.
 """
@@ -288,15 +289,17 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     contract (and sufficient precision) the result is within beta of
     sgn(A). A numerically singular iterate signals that the contract was
     violated (the pseudospectrum touched the imaginary axis): mat_inv's
-    pivot test raises, and sgn re-raises it as PreconditionError.
+    test ||X_k||_F ||X_k^-1||_F >= 1/(max(n, PIVOT_FLOOR) u) raises, and sgn
+    re-raises it as PreconditionError.
 
     Each step is one zgesv call (mat_inv: one LU and its solve), no SVD,
-    and one scan of the new iterate: its Frobenius norm (BLAS nrm2), which
-    the trace records, which is the key of the repeat search, and which is
-    finite exactly when every entry is, short of the norm itself overflowing
-    (then the entries are checked). A step is a deterministic function
-    of the iterate's bits, so once X_k equals an earlier X_j bit for bit
-    (p = k - j), the iterates cycle with period p and
+    and two Frobenius norms. mat_inv takes the inverse's, for its
+    singularity test against the iterate's norm that sgn passes it, and
+    the trace records both. The new iterate's norm is the key of the
+    repeat search, and it is finite exactly when every entry is, short of
+    the norm itself overflowing (then the entries are checked). A step is
+    a deterministic function of the iterate's bits, so once X_k equals an
+    earlier X_j bit for bit (p = k - j), the iterates cycle with period p and
     X_N = X_{j + (N-j) mod p}: sgn returns that kept iterate without
     running the remaining steps. The skipped steps would have inverted and
     checked only iterates that already passed. Candidates are the last
@@ -310,14 +313,14 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
                      alpha0=params.alpha0, eps0=params.eps0,
                      beta=params.beta, n=n)
 
-    # X_0 may be the result, which must not be the caller's array; order="K"
-    # keeps the memory order, and with it the summation order of fro_norm
+    # X_0 may be the result, which must not be the caller's array
     x = a.copy(order="K")
     x_norm = fro_norm(x)
     # k -> [||X_k||_F, X_k, bytes of X_k once a norm has matched it]
     recent: dict[int, list] = {}
     # an overflowing inverse is caught by the finiteness check below, so
-    # numpy's overflow/invalid warnings on the way there are noise
+    # numpy's overflow/invalid warnings on the way there are noise, and so
+    # is the invalid flag of an exactly zero pivot, which mat_inv raises on
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             entry = [x_norm, x, None]
@@ -329,16 +332,16 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
             recent[k] = entry
             recent.pop(k - REPEAT_WINDOW, None)
             try:
-                xinv = mat_inv(x)
+                xinv, xinv_norm = mat_inv(x, x_norm)
             except SingularMatrixError as err:
                 raise PreconditionError(
                     f"iterate {k} is singular to working precision; the "
                     f"pseudospectrum likely touches the imaginary axis"
                 ) from err
-            trace.iterate_norms.append((x_norm, fro_norm(xinv)))
+            trace.iterate_norms.append((x_norm, xinv_norm))
             x = 0.5 * (x + xinv)
             x_norm = fro_norm(x)
-            # nrm2 propagates NaN and Inf, so a finite norm clears every
+            # fro_norm propagates NaN and Inf, so a finite norm clears every
             # entry; an infinite one may still be an overflow of the norm
             if not math.isfinite(x_norm) and not np.isfinite(x).all():
                 raise PreconditionError(

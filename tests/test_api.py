@@ -7,6 +7,9 @@ import dataclasses
 import importlib
 import math
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from specbisect import (EigParams, Grid, Rng, SgnParams, ShatterCert,
 from specbisect.calc import kappa_sign_estimate, one_step_error_bound
 from specbisect.errors import DimensionError
 from specbisect.kernels import sigma_min_argmin
+from specbisect.lab import run_r22_experiment
 from specbisect.sgn import (condition_bounds_from_pseudospectrum,
                             pseudospectral_step)
 
@@ -153,6 +157,8 @@ RANGE_CHECKS = {
         lambda x: one_step_error_bound(1.0, x, 1.0, 4), -1.0),
     "one_step_error_bound.kappa": (
         lambda x: one_step_error_bound(1.0, 1.0, x, 4), -1.0),
+    "run_r22_experiment.theta": (
+        lambda x: run_r22_experiment(4, 2, x, 1, Rng(0)), 2.0),
     "split.beta": (lambda x: split(
         np.diag([-0.5 - 0.5j, 0.5 + 0.5j]), 0.4, UNIT8, x), 1.0),
     "eig_forward.kappa_eig_bound": (lambda x: eig_forward(
@@ -177,3 +183,23 @@ def test_range_checks_reject_nan(check):
 def test_grid_rejects_infinite_omega():
     with pytest.raises(ValueError, match="positive and finite"):
         Grid(0j, math.inf, 4, 4)
+
+
+def test_solver_runs_without_scipy_linalg():
+    # a fresh process: pytest's filterwarnings setting imports scipy.linalg
+    # into this one
+    code = (
+        "import sys\n"
+        "import specbisect as sb\n"
+        "a = sb.sample_ginibre(16, sb.Rng(1))\n"
+        "a = a / sb.kernels.op_norm(a)\n"
+        "p = sb.EigParams(0.05, 1 / 16)\n"
+        "assert sb.eig_backward(a, 0.05, p, sb.Rng(2)).residual <= 0.05\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('scipy.linalg')))\n")
+    src = str(Path(specbisect.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

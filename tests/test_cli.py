@@ -217,6 +217,14 @@ def test_lab_zero_trials_exit_1(runner):
     assert "trials must be >= 1" in res.output
 
 
+@pytest.mark.parametrize("theta", ["0", "nan", "2"])
+def test_lab_r22_rejects_theta_outside_unit_interval(runner, theta):
+    res = runner.invoke(main, ["lab", "r22", "--n", "4", "--r", "2",
+                               "--theta", theta, "--trials", "4"])
+    assert res.exit_code == 1, res.output
+    assert "theta must lie in (0, 1)" in res.output
+
+
 def test_lab_command(tmp_path, runner):
     out = tmp_path / "lab.json"
     res = runner.invoke(main, ["lab", "haar-sigma", "--n", "4", "--r", "2",

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_nonnormal_matrix
 from specbisect.errors import PreconditionError
 from specbisect.grids import (CertResult, Grid, ShatterCert,
-                              certify_shattered, kappa_v_upper, min_gap,
-                              pseudospectrum_member)
-from specbisect.randmat import Rng, sample_haar_unitary
+                              certify_shattered, eig_pairs, kappa_v_upper,
+                              min_gap, pseudospectrum_member)
+from specbisect.kernels import UNIT_ROUNDOFF
+from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
 
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
@@ -159,3 +161,36 @@ def test_sigma2_inequality_sample(rng):
     m = v @ np.diag(w) @ np.linalg.inv(v)
     svals = np.linalg.svd(z0 * np.eye(5) - m, compute_uv=False)
     assert svals[-2] <= r * kappa_v_upper(m) * (1 + 1e-9)
+
+
+def _clustered_perturbed(n):
+    q = sample_haar_unitary(n, Rng(n, (1,)))
+    d = np.array([1, -1, 1j, -1j])[np.arange(n) % 4]
+    return ((q * d) @ q.conj().T - 0.3 * np.eye(n)
+            + 0.01 * sample_ginibre(n, Rng(n, (2,))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 48])
+@pytest.mark.parametrize("make", [lambda n: sample_ginibre(n, Rng(n, (5,))),
+                                  _clustered_perturbed],
+                         ids=["ginibre", "clustered"])
+def test_eig_pairs_matches_scipy_left_vectors(make, n):
+    # W = (V^-1)* against scipy's left vectors scaled to w_j* v_j = 1
+    a = make(n)
+    lam, v, w = eig_pairs(a)
+    evals, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+    assert lam.tobytes() == evals.tobytes()
+    vr = vr / np.linalg.norm(vr, axis=0)
+    assert np.abs(v - vr).max() <= 4 * UNIT_ROUNDOFF
+    want = vl / np.conj(np.sum(np.conj(vl) * vr, axis=0))
+    err = np.linalg.norm(w - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert err.max() <= 10 * n * UNIT_ROUNDOFF
+    overlaps = np.sum(np.conj(w) * v, axis=0)
+    assert np.abs(overlaps - 1.0).max() <= 10 * n * UNIT_ROUNDOFF
+
+
+def test_eig_pairs_rejects_defective():
+    # a Jordan block: its two computed eigenvectors are parallel to working
+    # precision, so V is singular
+    with pytest.raises(PreconditionError, match="defective"):
+        eig_pairs(np.array([[1.0, 1.0], [0.0, 1.0]]))

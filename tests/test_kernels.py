@@ -4,13 +4,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specbisect import ShatterParams, calc, grids, kernels, shatter
 from specbisect.errors import DimensionError, SingularMatrixError, ZeroColumnError
 from specbisect.grids import Grid, min_line_sigma
-from specbisect.kernels import (C_INV, MU_INV, MU_MM, MU_QR, SHIFT_CHUNK,
-                                UNIT_ROUNDOFF, as_cmatrix, fro_norm,
-                                lu_pivot_extremes, mat_inv, op_norm,
+from specbisect.kernels import (C_INV, MU_INV, MU_MM, MU_QR, PIVOT_FLOOR,
+                                SHIFT_CHUNK, UNIT_ROUNDOFF, as_cmatrix,
+                                fro_norm, lu_pivot_extremes, mat_inv, op_norm,
                                 normalize_columns, qr_factor,
                                 sigma_min_argmin, sigma_min_shifted_batch,
                                 trace)
@@ -43,8 +46,10 @@ def test_as_cmatrix_noncontiguous():
 
 def test_mat_inv_and_pivots():
     a = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=np.complex128)
-    inv = mat_inv(a)
+    inv, inv_fro = mat_inv(a)
     assert np.allclose(inv @ a, np.eye(2), atol=1e-14)
+    assert inv_fro == fro_norm(inv)
+    assert mat_inv(a, fro_norm(a))[0].tobytes() == inv.tobytes()
     lo, hi = lu_pivot_extremes(a)
     assert 0 < lo <= hi
     with pytest.raises(SingularMatrixError):
@@ -53,7 +58,7 @@ def test_mat_inv_and_pivots():
     with pytest.raises(SingularMatrixError):
         mat_inv(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 6.0, 7.0]],
                          dtype=np.complex128))
-    # callers validate, but a NaN that reaches the pivots is not inverted
+    # callers validate, but a NaN that reaches the solve is not inverted
     with pytest.raises(ValueError):
         mat_inv(np.full((2, 2), np.nan, dtype=complex))
 
@@ -64,19 +69,104 @@ def test_mat_inv_equals_lu_solve_bit_for_bit(n, order):
     a = np.asarray(sample_ginibre(n, Rng(n, (7,))), order=order)
     want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a),
                                  np.eye(n, dtype=np.complex128))
-    got = mat_inv(a)
+    got, _ = mat_inv(a)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_mat_inv_leaves_cached_identity_untouched():
+def test_mat_inv_is_pure():
     a = sample_ginibre(5, Rng(5))
-    first = mat_inv(a)
-    eye = kernels._identity(5)
-    assert not eye.flags.writeable and eye.flags.f_contiguous
-    second = mat_inv(a)
-    assert kernels._identity(5) is eye
-    assert np.array_equal(eye, np.eye(5)) and first.tobytes() == second.tobytes()
-    assert not np.shares_memory(first, eye) and not np.shares_memory(second, eye)
+    before = a.tobytes()
+    first, _ = mat_inv(a)
+    second, _ = mat_inv(a)
+    assert a.tobytes() == before and first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, a)
+
+
+def _lu_pivot_test(a):
+    """The pivot test mat_inv used to run on its LU: singular when
+    min|U_ii| <= max(n, PIVOT_FLOOR) u max|U_ii|, with scipy's lu_factor."""
+    with warnings.catch_warnings():
+        # an exactly zero pivot is a verdict here, not a warning
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, _ = scipy.linalg.lu_factor(a, check_finite=False)
+    d = np.abs(np.diag(lu))
+    return bool(d.min() <= max(a.shape[0], PIVOT_FLOOR) * UNIT_ROUNDOFF
+                * d.max())
+
+
+def _singular(a):
+    try:
+        mat_inv(a)
+    except SingularMatrixError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.integers(1, 6).flatmap(lambda n: arrays(
+           np.complex128, (n, n), elements=st.complex_numbers(
+               max_magnitude=4.0, allow_nan=False, allow_infinity=False))))
+def test_mat_inv_singularity_against_lu_pivot_test(a):
+    # the corpus of sgn's hypothesis test: every matrix the pivot test
+    # calls singular is singular here too. The others are singular to
+    # working precision by their SVD: ill-conditioned ones whose pivots all
+    # look alike, such as [[t, 1], [0, t]] with t = 3e-21, and exactly
+    # singular ones with subnormal entries, whose LU, rounding in the
+    # subnormal range, shows no small pivot
+    old, new = _lu_pivot_test(a), _singular(a)
+    if old:
+        assert new
+    elif new:
+        svals = np.linalg.svd(a, compute_uv=False)
+        assert svals[-1] <= a.shape[0] * PIVOT_FLOOR * UNIT_ROUNDOFF * svals[0]
+
+
+def test_mat_inv_singularity_on_small_relative_pivots():
+    # diag(1, ..., 1, k u): the pivot test calls it singular for
+    # k <= m = max(n, PIVOT_FLOOR), the norm test for k <= m sqrt(n - 1),
+    # since ||A||_F ||A^-1||_F ~ sqrt(n - 1)/(k u); they agree at n = 2
+    for n in range(2, 49):
+        m = max(n, PIVOT_FLOOR)
+        for k in range(1, 101):
+            a = np.eye(n, dtype=np.complex128)
+            a[-1, -1] = k * UNIT_ROUNDOFF
+            assert _lu_pivot_test(a) == (k <= m), (n, k)
+            assert _singular(a) == (k <= m * math.sqrt(n - 1)), (n, k)
+
+
+def _exactly_singular():
+    cases = {"zero-1x1": np.zeros((1, 1)), "zero-4x4": np.zeros((4, 4)),
+             "ones-2x2": np.ones((2, 2)),
+             "zero-pivot-3x3": np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0],
+                                         [3.0, 6.0, 7.0]])}
+    for n in (3, 5, 8, 24, 48):
+        g = sample_ginibre(n, Rng(n, (3,)))
+        zero_col, zero_row, repeated_row, combined_col = (
+            g.copy() for _ in range(4))
+        zero_col[:, 1] = 0.0
+        zero_row[1] = 0.0
+        repeated_row[-1] = g[0]
+        combined_col[:, -1] = g[:, 0] + 2.0 * g[:, 1]
+        cases.update({f"zero-column-{n}": zero_col,
+                      f"zero-row-{n}": zero_row,
+                      f"repeated-row-{n}": repeated_row,
+                      f"combined-column-{n}": combined_col,
+                      f"rank-one-{n}": np.outer(g[:, 0], g[0].conj())})
+    return {k: np.asarray(v, dtype=np.complex128) for k, v in cases.items()}
+
+
+EXACTLY_SINGULAR = _exactly_singular()
+
+
+@pytest.mark.parametrize("name", EXACTLY_SINGULAR)
+def test_mat_inv_exactly_singular_raises_without_warning(name):
+    a = EXACTLY_SINGULAR[name]
+    assert _lu_pivot_test(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            mat_inv(a)
 
 
 def test_qr_factor_convention():
@@ -161,6 +251,19 @@ def test_fro_norm_propagates_non_finite(bad):
                     x = np.full((n, n), scale * (0.6 - 0.8j), order=order)
                     x[pos] = bad
                     assert not math.isfinite(fro_norm(x)), (n, order, pos)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-170, 1.0, 1e160, 1e300])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fro_norm_scales_past_the_double_range(scale, order):
+    # the plain sum of squares underflows or overflows at the ends; the
+    # norm does not, and math.hypot over the parts is the oracle
+    a = np.asarray(sample_ginibre(5, Rng(5)), order=order)
+    a = np.asarray(scale * a, order=order)
+    want = math.hypot(*np.concatenate([a.real.ravel(), a.imag.ravel()]))
+    assert fro_norm(a) == pytest.approx(want, rel=1e-14)
+    assert fro_norm(np.zeros((3, 3), complex)) == 0.0
+    assert fro_norm(np.full((2, 2), 1e308 + 1e308j)) == math.inf
 
 
 def test_norms_and_sigma():

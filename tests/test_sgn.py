@@ -1,16 +1,19 @@
 import cmath
 import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (certified_apollonius_params, oracle_sign,
                       random_nonnormal_matrix, random_normal_matrix)
+from specbisect import kernels
 from specbisect.errors import PreconditionError, SingularMatrixError
 from specbisect.kernels import UNIT_ROUNDOFF
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
@@ -240,8 +243,8 @@ def test_sgn_rejects_axis_spectrum():
 
 
 def test_sgn_pivot_between_caps_raises_precondition():
-    # relative pivot 15u: above the 10u floor of mat_inv's pivot test, but
-    # at or below its n*u part at n = 20
+    # relative pivot 15u at n = 20, between the 10u and n*u bounds of an
+    # LU pivot test: ||A||_F ||A^-1||_F ~ sqrt(19)/(15u) >= 1/(20u)
     a = np.eye(20, dtype=complex)
     a[-1, -1] = 15 * UNIT_ROUNDOFF
     with pytest.raises(PreconditionError) as exc:
@@ -260,8 +263,8 @@ def test_sgn_stops_at_fixed_point():
 
 
 def test_sgn_pivot_floor_small_n():
-    # relative pivot 7u: above n*u at n = 5, so only the 10u floor of
-    # mat_inv's pivot test catches it
+    # relative pivot 7u at n = 5, above n*u, so that of an LU pivot test
+    # only its 10u floor catches it: ||A||_F ||A^-1||_F ~ 2/(7u) >= 1/(10u)
     a = np.eye(5, dtype=complex)
     a[-1, -1] = 7 * UNIT_ROUNDOFF
     with pytest.raises(PreconditionError) as exc:
@@ -380,8 +383,8 @@ def test_sgn_iterate_norms_bound_two_norms(make):
 
 
 def test_sgn_overflowing_iterate_raises_precondition():
-    # pivots ~1e-310 pass the relative pivot test, but the inverse
-    # overflows, so X_1 = (X_0 + X_0^-1)/2 has non-finite entries
+    # entries ~1e-310 leave A well conditioned, but the inverse overflows,
+    # so X_1 = (X_0 + X_0^-1)/2 has non-finite entries
     a = 1e-310 * np.array([[1.0, 0.5], [0.25, 1.0]], dtype=complex)
     with pytest.raises(PreconditionError, match="non-finite entries at "
                        "iterate 1"):
@@ -399,29 +402,29 @@ def test_sgn_overflowing_norm_is_not_a_non_finite_iterate():
 
 
 def test_sgn_hot_path_one_lu_no_svd(monkeypatch):
-    # one zgesv (LU and solve in one LAPACK call) per step, and no SVD
-    calls = {"gesv": 0, "getrf": 0, "getrs": 0}
+    # one call of numpy's inv gufunc (zgesv: LU and solve in one LAPACK
+    # call) per step, and no SVD
+    inputs = [make() for make in FAST_PATH_INPUTS.values()]
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def inv(*args, **kwargs):
+        calls.append(kwargs["signature"])
+        return _umath_linalg.inv(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the sgn hot path")
 
-    for name in calls:
-        routine = "z" + name
-        monkeypatch.setattr(scipy.linalg.lapack, routine,
-                            counted(name, getattr(scipy.linalg.lapack, routine)))
-    monkeypatch.setattr(scipy.linalg.lapack, "zgesdd", forbidden)
+    # every other gufunc, the SVDs included, is missing from the namespace
+    monkeypatch.setattr(kernels, "_umath_linalg",
+                        types.SimpleNamespace(inv=inv))
+    for name in ("inv", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     for name in ("op_norm", "op_norm_inv_safe", "lu_pivot_extremes"):
         monkeypatch.setattr(sgn_module, name, forbidden)
-    for make in FAST_PATH_INPUTS.values():
-        calls.update(gesv=0, getrf=0, getrs=0)
-        _, trace = sgn(make(), FAST_PATH_PARAMS)
-        assert calls == {"gesv": trace.n_steps, "getrf": 0, "getrs": 0}
+    for a in inputs:
+        calls.clear()
+        _, trace = sgn(a, FAST_PATH_PARAMS)
+        assert calls == ["D->D"] * trace.n_steps
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
