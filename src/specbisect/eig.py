@@ -34,6 +34,10 @@ _BETA_FLOOR = 1e-300
 #: deflation retries with fresh randomness before a node gives up
 DEFLATE_RETRY_BUDGET = 2
 
+#: shatter-and-solve retries with fresh randomness before eig_backward
+#: gives up on a result that misses its backward contract
+CONTRACT_RETRY_BUDGET = 2
+
 
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
@@ -51,14 +55,28 @@ class EigParams:
             raise ValueError("theta must lie in (0, 1)")
 
 
-@dataclass
+@dataclass(slots=True)
 class EigResult:
+    """V and D of a solve, the residual ||A - V D V^-1|| and kappa(V)
+    measured against A, the grid the recursion started from (the
+    shattering grid of eig_backward, None where it solves n = 1 directly)
+    and the recursion depth."""
+
     v: np.ndarray
     d: np.ndarray
     residual: float
     kappa_v: float
-    square_assignment: list
+    grid: Grid | None
     depth: int
+
+    @property
+    def square_assignment(self) -> list:
+        """The square of grid holding each eigenvalue in d (None outside
+        the grid), derived when read: a result holds no per-eigenvalue
+        objects besides V and D."""
+        if self.grid is None:
+            return [None]
+        return [self.grid.square_index(complex(lam)) for lam in self.d]
 
     def to_json(self) -> dict:
         return {
@@ -76,11 +94,6 @@ def _measure(a, v, d) -> tuple[float, float]:
     residual = op_norm(a - v @ np.diag(d) @ vinv)
     kv = op_norm(v) * op_norm(vinv)
     return residual, kv
-
-
-def _squares(g: Grid, d: np.ndarray) -> list:
-    """The square of g holding each eigenvalue in d."""
-    return [g.square_index(complex(lam)) for lam in d]
 
 
 def _eig_node(a: np.ndarray, delta: float, g: Grid, eps: float,
@@ -147,7 +160,7 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     a = as_cmatrix(a)
     v, d, depth = _eig_node(a, delta, g, eps, theta, rng, eigenvalues)
     residual, kv = _measure(a, v, d)
-    return EigResult(v, d, residual, kv, _squares(g, d), depth)
+    return EigResult(v, d, residual, kv, g, depth)
 
 
 def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
@@ -156,8 +169,11 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     Shatters A at gamma = delta/8 and solves the perturbed problem to
     accuracy delta' = delta^3/(1536 n^2.5). Success contract (probability
     at least 1 - 1/n - 12/n^2): ||A - V D V^-1|| <= delta and
-    kappa(V) <= 32 n^2.5 / delta, both measured once, on the returned
-    result against A.
+    kappa(V) <= 32 n^2.5 / delta, both measured once per attempt against
+    A. A result that misses it is not returned: the shatter-and-solve
+    runs again with fresh randomness (attempt k draws from rng's children
+    2k and 2k + 1), up to CONTRACT_RETRY_BUDGET times, and then raises
+    EigFailureError.
     """
     _check_delta(delta)
     a = as_cmatrix(a)
@@ -166,15 +182,24 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
         raise PreconditionError("eig_backward requires ||A|| <= 1")
     if n == 1:
         return EigResult(np.eye(1, dtype=np.complex128),
-                         np.array([complex(a[0, 0])]), 0.0, 1.0, [None], 0)
+                         np.array([complex(a[0, 0])]), 0.0, 1.0, None, 0)
 
-    cert = shatter(a, ShatterParams(gamma=delta / 8.0), rng.child(0))
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n)
-    v, d, depth = _eig_node(cert.matrix, delta_p, cert.grid, cert.epsilon,
-                            theta, rng.child(1), cert.eigenvalues)
-    residual, kv = _measure(a, v, d)
-    return EigResult(v, d, residual, kv, _squares(cert.grid, d), depth)
+    kv_cap = 32.0 * n**2.5 / delta
+    for attempt in range(1 + CONTRACT_RETRY_BUDGET):
+        cert = shatter(a, ShatterParams(gamma=delta / 8.0),
+                       rng.child(2 * attempt))
+        v, d, depth = _eig_node(cert.matrix, delta_p, cert.grid,
+                                cert.epsilon, theta,
+                                rng.child(2 * attempt + 1), cert.eigenvalues)
+        residual, kv = _measure(a, v, d)
+        if residual <= delta and kv <= kv_cap:  # False on NaN
+            return EigResult(v, d, residual, kv, cert.grid, depth)
+    raise EigFailureError(
+        f"result missed the backward contract after {CONTRACT_RETRY_BUDGET} "
+        f"retries: residual {residual:.3e} (delta {delta:g}), kappa_V "
+        f"{kv:.3e} (cap {kv_cap:.3e})")
 
 
 def eig_forward(a, delta: float, kappa_eig_bound: float, params: EigParams,

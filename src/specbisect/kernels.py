@@ -16,7 +16,7 @@ against the identity); numpy exposes no LU factors, so mat_inv judges
 singularity from the Frobenius norms of the matrix and its inverse, and a
 Newton sign step costs one factorization and one gufunc call. QR is
 numpy's two qr gufuncs (zgeqrf in place, then zungqr), the operator norm
-np.linalg.svd without vectors (zgesdd), and the Frobenius norm one BLAS
+numpy's svd gufunc without vectors (zgesdd), and the Frobenius norm one BLAS
 inner product: on the small blocks deep in the recursion the wrappers,
 not LAPACK, would otherwise set the cost, so the hot kernels skip the
 public np.linalg wrappers. Each returns, bit for bit, what the scipy.linalg
@@ -220,14 +220,20 @@ def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
 def op_norm(a) -> float:
     """Spectral norm (largest singular value).
 
-    np.linalg.svd without vectors runs LAPACK's gesdd with the workspace
-    its size query gives, as scipy.linalg.svdvals does, so the value is
-    svdvals' bit for bit.
+    numpy's svd gufunc without vectors runs LAPACK's gesdd with the
+    workspace its size query gives, as np.linalg.svd(a, compute_uv=False)
+    and scipy.linalg.svdvals do, so the value is theirs bit for bit,
+    without np.linalg.svd's per-call wrapper. A NaN value (a NaN or Inf
+    entry, or gesdd failing to converge) goes to np.linalg.svd, which
+    raises LinAlgError where it would have.
     """
     a = np.asarray(a, dtype=np.complex128)
     if not a.any():
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    s = float(_umath_linalg.svd(a, signature="D->d")[0])
+    if math.isnan(s):
+        s = float(np.linalg.svd(a, compute_uv=False)[0])
+    return s
 
 
 #: sums of squares below this lose bits to subnormal squares (u times the

@@ -177,7 +177,8 @@ def split(a, eps: float, g: Grid, beta: float,
     threshold = math.floor(3 * n / 5) if n > 5 else n - 2
     # horizontal lines of g are the vertical lines of g rotated by i
     grids = {"vertical": g, "horizontal": g.rotated()}
-    mats = {"vertical": a, "horizontal": 1j * a}
+    # the rotated matrix is built once a horizontal line is measured
+    mats = {"vertical": a}
     lam = mus = None
     if eigenvalues is not None and len(eigenvalues) == n:
         lam = np.asarray(eigenvalues, dtype=np.complex128)
@@ -190,6 +191,8 @@ def split(a, eps: float, g: Grid, beta: float,
 
     def measure(orientation: str, k: int) -> int:
         if (orientation, k) not in signs:
+            if orientation not in mats:
+                mats[orientation] = 1j * a
             s, t = _signed_sign_trace(mats[orientation], line(orientation, k),
                                       eps, grids[orientation], beta)
             signs[orientation, k] = s, _census(t)

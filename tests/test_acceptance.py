@@ -15,7 +15,7 @@ from conftest import (certified_apollonius_params, oracle_sign,
                       subspace_distance)
 from specbisect.deflate import deflate
 from specbisect.eig import EigParams, eig_backward, eig_precision_requirement
-from specbisect.errors import PreconditionError
+from specbisect.errors import EigFailureError, PreconditionError
 from specbisect.grids import Grid, certify_shattered
 from specbisect.kernels import UNIT_ROUNDOFF, op_norm
 from specbisect.lab import run_r22_experiment
@@ -212,7 +212,12 @@ def e2e_runs():
             r = stream.child(t)
             g = sample_ginibre(n, r.child(0xFF))
             a = g / op_norm(g)
-            res = eig_backward(a, 0.05, params, r)
+            try:
+                res = eig_backward(a, 0.05, params, r)
+            except EigFailureError:
+                # the solver's own contract check ran out of retries
+                runs.append((False, None))
+                continue
             ok = res.residual <= 0.05 and res.kappa_v <= kv_cap
             runs.append((ok, res.depth))
         out[n] = runs
@@ -228,7 +233,8 @@ def test_e2e_backward_error(e2e_runs):
 def test_recursion_depth_bound(e2e_runs):
     for n, runs in e2e_runs.items():
         cap = math.log(n) / math.log(1.25)
-        assert all(depth <= cap for _, depth in runs), n
+        assert all(depth <= cap for _, depth in runs
+                   if depth is not None), n
 
 
 # --- criterion 10: shattering certificate soundness -------------------------

@@ -1,5 +1,9 @@
+import gc
 import importlib
+import json
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import phase_align
-from specbisect.eig import (EigParams, eig_backward, eig_forward,
-                            eig_iteration_budget, eig_precision_requirement,
-                            eig_shattered, kappa_eig_measure)
-from specbisect.errors import PreconditionError, SpecBisectError
+from specbisect.eig import (CONTRACT_RETRY_BUDGET, EigParams, EigResult,
+                            eig_backward, eig_forward, eig_iteration_budget,
+                            eig_precision_requirement, eig_shattered,
+                            kappa_eig_measure)
+from specbisect.errors import (EigFailureError, PreconditionError,
+                               SpecBisectError)
 from specbisect.grids import Grid
 from specbisect.kernels import op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
@@ -292,3 +298,119 @@ def test_eig_backward_finite_or_typed_error(kind, n, seed, delta):
         return
     assert np.isfinite(res.v).all() and np.isfinite(res.d).all()
     assert math.isfinite(res.residual) and math.isfinite(res.kappa_v)
+
+
+# --- the contract check of eig_backward -------------------------------------
+
+def _misses(monkeypatch, count):
+    """Make eig._measure report a contract miss on its first count calls;
+    returns the V of every call."""
+    eig_module = importlib.import_module("specbisect.eig")
+    original, vs = eig_module._measure, []
+
+    def measure(a, v, d):
+        vs.append(v)
+        residual, kv = original(a, v, d)
+        return (math.inf if len(vs) <= count else residual), kv
+
+    monkeypatch.setattr(eig_module, "_measure", measure)
+    return vs
+
+
+def test_contract_miss_retries_with_fresh_randomness(monkeypatch, rng):
+    n = 8
+    g = sample_ginibre(n, rng)
+    a = g / op_norm(g)
+    params = EigParams(delta=0.05, theta=1 / n)
+    first = eig_backward(a, 0.05, params, rng.child(5))
+    vs = _misses(monkeypatch, 1)
+    res = eig_backward(a, 0.05, params, rng.child(5))
+    assert len(vs) == 2
+    assert np.array_equal(vs[0], first.v)  # attempt 0 keeps its paths
+    assert res.v is vs[1] and not np.array_equal(res.v, first.v)
+    assert res.residual <= 0.05 and res.kappa_v <= 32 * n**2.5 / 0.05
+
+
+def test_contract_miss_after_the_budget_raises(monkeypatch, rng):
+    n = 6
+    g = sample_ginibre(n, rng)
+    vs = _misses(monkeypatch, math.inf)
+    with pytest.raises(EigFailureError, match="backward contract"):
+        eig_backward(g / op_norm(g), 0.05, EigParams(delta=0.05, theta=0.2),
+                     rng.child(5))
+    assert len(vs) == 1 + CONTRACT_RETRY_BUDGET
+
+
+# --- EigResult: what a result holds and what it derives ---------------------
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_retained_result_weighs_v_and_d_plus_1kib(n):
+    g = sample_ginibre(n, Rng(n))
+    a = g / op_norm(g)
+    args = (a, 0.05, EigParams(delta=0.05, theta=1 / n), Rng(n, (1,)))
+    eig_backward(*args)  # warms every cache the solve fills
+    tracemalloc.start()
+    try:
+        # a full collection also empties the interpreter's free lists,
+        # which tracemalloc counts as allocated
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [eig_backward(*args) for _ in range(8)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    res = kept[0]
+    assert held / len(kept) <= res.v.nbytes + res.d.nbytes + 1024
+
+
+def _eager_squares(res, grid):
+    return [grid.square_index(complex(z)) for z in res.d]
+
+
+def test_square_assignment_derived_from_the_grid(rng):
+    n = 8
+    g = sample_ginibre(n, rng)
+    a = g / op_norm(g)
+    res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n),
+                       rng.child(5))
+    cert = shatter(a, ShatterParams(gamma=0.05 / 8), rng.child(5).child(0))
+    assert res.grid == cert.grid
+    assert res.square_assignment == _eager_squares(res, cert.grid)
+    assert None not in res.square_assignment
+    shattered = eig_shattered(cert.matrix, 1e-6, cert.grid, cert.epsilon,
+                              1 / n, Rng(9), eigenvalues=cert.eigenvalues)
+    assert shattered.square_assignment == _eager_squares(shattered,
+                                                         cert.grid)
+    # n = 1: eig_backward holds no grid, eig_shattered its argument's
+    one = eig_backward(np.array([[0.5j]]), 0.05,
+                       EigParams(delta=0.05, theta=0.5), Rng(0))
+    assert one.grid is None and one.square_assignment == [None]
+    outside = eig_shattered(np.array([[9.0 + 0j]]), 1e-3, UNIT8, 0.4, 0.1,
+                            Rng(0))
+    assert outside.square_assignment == [None]
+    inside = eig_shattered(np.array([[0.5 - 0.5j]]), 1e-3, UNIT8, 0.4, 0.1,
+                           Rng(0))
+    assert inside.square_assignment == [(4, 3)]
+
+
+def test_result_json_construction_and_pickle():
+    v = np.eye(3, dtype=np.complex128)
+    d = np.array([0.5 + 0.5j, -1.5 - 2.5j, 9.0 + 0j])
+    res = EigResult(v, d, 1e-9, 1.5, UNIT8, 2)  # six positional values
+    assert (res.v is v, res.d is d, res.residual, res.kappa_v, res.grid,
+            res.depth) == (True, True, 1e-9, 1.5, UNIT8, 2)
+    assert res.square_assignment == [(4, 4), (2, 1), None]
+    assert json.dumps(res.to_json()) == json.dumps({
+        "eigenvalues": [[0.5, 0.5], [-1.5, -2.5], [9.0, 0.0]],
+        "residual": 1e-9,
+        "kappa_v": 1.5,
+        "depth": 2,
+        "square_assignment": [[4, 4], [2, 1], None],
+    })
+    assert not hasattr(res, "__dict__")
+    back = pickle.loads(pickle.dumps(res))
+    assert np.array_equal(back.v, v) and np.array_equal(back.d, d)
+    assert (back.residual, back.kappa_v, back.grid, back.depth) == \
+        (1e-9, 1.5, UNIT8, 2)
+    assert back.to_json() == res.to_json()

@@ -285,6 +285,27 @@ def test_op_norm_equals_svdvals_bit_for_bit():
         assert op_norm(a) == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 48])
+def test_op_norm_equals_np_linalg_svd_bit_for_bit(n):
+    # op_norm calls the svd gufunc under np.linalg.svd's wrapper
+    cases = [sample_ginibre(n, Rng(n)), np.zeros((n, n), np.complex128),
+             np.asfortranarray(sample_ginibre(n, Rng(n, (1,))))]
+    for a in cases:
+        assert op_norm(a) == np.linalg.svd(a, compute_uv=False)[0]
+
+
+def test_op_norm_non_finite_as_np_linalg_svd():
+    inf = np.array([[np.inf, 1.0], [0.0, 1.0]], dtype=np.complex128)
+    assert math.isnan(op_norm(inf))
+    assert math.isnan(np.linalg.svd(inf, compute_uv=False)[0])
+    nan = np.array([[np.nan, 1.0], [0.0, 1.0]], dtype=np.complex128)
+    # the gufunc flags the NaN as an invalid value before np.linalg.svd,
+    # holding its own error state, raises
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(np.linalg.LinAlgError):
+        op_norm(nan)
+
+
 def test_sigma_min_shifted_batch_matches_loop():
     rng = Rng(5)
     a = sample_ginibre(5, rng)

@@ -80,6 +80,25 @@ def test_split_horizontal_fallback():
     assert len(in_minus) == res.n_minus
 
 
+def test_rotated_matrix_only_for_horizontal_lines(monkeypatch):
+    # the matrices split hands to _signed_sign_trace, in call order
+    split_module = importlib.import_module("specbisect.split")
+    original, mats = split_module._signed_sign_trace, []
+    monkeypatch.setattr(split_module, "_signed_sign_trace",
+                        lambda m, *args: mats.append(m) or original(m, *args))
+    a = np.diag([1.5 + 0.5j, 2.5 - 0.5j, -1.5 + 0.5j]).astype(complex)
+    assert split(a, 0.4, UNIT8, 0.015).orientation == "vertical"
+    assert mats and all(m is a for m in mats)
+    mats.clear()
+    # the horizontal fallback's input: every vertical line fails
+    b = np.diag([0.5 + 0.5j, 0.5 - 0.5j, 0.5 + 1.5j, 0.5 - 1.5j]).astype(complex)
+    assert split(b, 0.4, UNIT8, 0.0125).orientation == "horizontal"
+    rotated = [m for m in mats if m is not b]
+    assert len(rotated) < len(mats)  # the vertical search ran first
+    assert all(m is rotated[0] for m in rotated)  # built once
+    assert np.array_equal(rotated[0], 1j * b)
+
+
 def test_split_nonnormal_projector_oracle(rng):
     n = 10
     centers = np.array([-2.5 + 0.5j, -2.5 - 1.5j, -1.5 + 2.5j, -0.5 - 0.5j,
