@@ -20,9 +20,8 @@ from . import calc as calcmod
 from . import lab as labmod
 from .eig import (EigParams, eig_backward, eig_precision_requirement,
                   eig_iteration_budget)
-from .errors import (AmbiguousCountError, CertificationError, DeflationError,
-                     EigFailureError, PreconditionError, SpecBisectError,
-                     SplitFailureError)
+from .errors import (PROBABILISTIC, CertificationError, PreconditionError,
+                     SpecBisectError)
 from .grids import Grid, certify_shattered
 from .mmio import read_matrix, write_matrix
 from .randmat import Rng
@@ -35,9 +34,6 @@ EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_PROBABILISTIC = 2
 EXIT_IO = 3
-
-_PROBABILISTIC = (EigFailureError, SplitFailureError, CertificationError,
-                  AmbiguousCountError, DeflationError)
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -59,7 +55,7 @@ def _load(path: str) -> np.ndarray:
 def _run(body) -> None:
     try:
         body()
-    except _PROBABILISTIC as err:
+    except PROBABILISTIC as err:
         click.echo(f"probabilistic failure: {err}", err=True)
         sys.exit(EXIT_PROBABILISTIC)
     except (PreconditionError, SpecBisectError, ValueError) as err:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deflate import deflate
-from .errors import DeflationError, EigFailureError, PreconditionError
+from .errors import PROBABILISTIC, EigFailureError, PreconditionError
 from .grids import Grid, kappa_v_upper, min_gap
 from .kernels import (C_INV, MU_MM, MU_QR, as_cmatrix, mat_inv,
                       normalize_columns, op_norm)
@@ -31,11 +31,8 @@ BACKWARD_ACCURACY_DENOM = 1536
 #: floor keeping the per-call failure budget beta representable in doubles
 _BETA_FLOOR = 1e-300
 
-#: deflation retries with fresh randomness before a node gives up
-DEFLATE_RETRY_BUDGET = 2
-
 #: shatter-and-solve retries with fresh randomness before eig_backward
-#: gives up on a result that misses its backward contract
+#: gives up on an attempt that fails or misses its backward contract
 CONTRACT_RETRY_BUDGET = 2
 
 
@@ -55,7 +52,7 @@ class EigParams:
             raise ValueError("theta must lie in (0, 1)")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class EigResult:
     """V and D of a solve, the residual ||A - V D V^-1|| and kappa(V)
     measured against A, the grid the recursion started from (the
@@ -115,16 +112,9 @@ def _eig_node(a: np.ndarray, delta: float, g: Grid, eps: float,
 
     sr = split(a, eps, g, beta, eigenvalues=eigenvalues)
 
-    for attempt in range(1 + DEFLATE_RETRY_BUDGET):
-        r = rng.child(attempt)
-        try:
-            q_plus = deflate(sr.p_plus, sr.n_plus, beta, r.child(0))
-            q_minus = deflate(sr.p_minus, sr.n_minus, beta, r.child(1))
-            break
-        except DeflationError as err:
-            last_err = err
-    else:
-        raise EigFailureError(f"deflation failed after retries: {last_err}")
+    r = rng.child(0)
+    q_plus = deflate(sr.p_plus, sr.n_plus, beta, r.child(0))
+    q_minus = deflate(sr.p_minus, sr.n_minus, beta, r.child(1))
 
     a_plus = q_plus.conj().T @ a @ q_plus
     a_minus = q_minus.conj().T @ a @ q_minus
@@ -149,10 +139,12 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
 
     With probability at least 1 - theta, each returned eigenvalue shares
     its grid square with exactly one true eigenvalue and each returned
-    unit eigenvector is delta-close to an exact one. eigenvalues, when
-    given, lie one per square of g in the squares of A's eigenvalues (the
-    shattering eigensolve's); each split predicts its census from them
-    and hands each block its side's share.
+    unit eigenvector is delta-close to an exact one. eigenvalues lie one
+    per square of g in the squares of A's eigenvalues (the shattering
+    eigensolve's; the root split computes them when None). Each split
+    predicts its census from them and hands each block its side's share.
+    A failed split or deflation raises; eig_backward is the caller that
+    retries it.
 
     The residual and kappa_V are measured at the entry point only, once,
     against A; the recursion below it measures nothing.
@@ -170,10 +162,10 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     accuracy delta' = delta^3/(1536 n^2.5). Success contract (probability
     at least 1 - 1/n - 12/n^2): ||A - V D V^-1|| <= delta and
     kappa(V) <= 32 n^2.5 / delta, both measured once per attempt against
-    A. A result that misses it is not returned: the shatter-and-solve
-    runs again with fresh randomness (attempt k draws from rng's children
-    2k and 2k + 1), up to CONTRACT_RETRY_BUDGET times, and then raises
-    EigFailureError.
+    A. An attempt that raises a PROBABILISTIC error or whose result misses
+    the contract runs again with fresh randomness (attempt k draws from
+    rng's children 2k and 2k + 1), up to CONTRACT_RETRY_BUDGET times; then
+    EigFailureError, chained from the last attempt's failure.
     """
     _check_delta(delta)
     a = as_cmatrix(a)
@@ -188,18 +180,25 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     theta = min(params.theta, 1.0 / n)
     kv_cap = 32.0 * n**2.5 / delta
     for attempt in range(1 + CONTRACT_RETRY_BUDGET):
-        cert = shatter(a, ShatterParams(gamma=delta / 8.0),
-                       rng.child(2 * attempt))
-        v, d, depth = _eig_node(cert.matrix, delta_p, cert.grid,
-                                cert.epsilon, theta,
-                                rng.child(2 * attempt + 1), cert.eigenvalues)
+        try:
+            cert = shatter(a, ShatterParams(gamma=delta / 8.0),
+                           rng.child(2 * attempt))
+            v, d, depth = _eig_node(cert.matrix, delta_p, cert.grid,
+                                    cert.epsilon, theta,
+                                    rng.child(2 * attempt + 1),
+                                    cert.eigenvalues)
+        except PROBABILISTIC as err:
+            failure = err
+            continue
         residual, kv = _measure(a, v, d)
         if residual <= delta and kv <= kv_cap:  # False on NaN
             return EigResult(v, d, residual, kv, cert.grid, depth)
+        failure = EigFailureError(
+            f"result missed the backward contract: residual {residual:.3e} "
+            f"(delta {delta:g}), kappa_V {kv:.3e} (cap {kv_cap:.3e})")
     raise EigFailureError(
-        f"result missed the backward contract after {CONTRACT_RETRY_BUDGET} "
-        f"retries: residual {residual:.3e} (delta {delta:g}), kappa_V "
-        f"{kv:.3e} (cap {kv_cap:.3e})")
+        f"no attempt succeeded after {CONTRACT_RETRY_BUDGET} retries; "
+        f"the last: {failure}") from failure
 
 
 def eig_forward(a, delta: float, kappa_eig_bound: float, params: EigParams,

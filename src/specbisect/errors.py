@@ -56,3 +56,10 @@ class CertificationError(SpecBisectError):
 
 class EigFailureError(SpecBisectError):
     """The recursive eigensolver aborted (probabilistic failure)."""
+
+
+#: failures of a random draw (the shattering perturbation, a sign census,
+#: a deflation's Haar sample): eig_backward retries them with fresh
+#: randomness, and the CLI exits 2 on them
+PROBABILISTIC = (EigFailureError, SplitFailureError, CertificationError,
+                 AmbiguousCountError, DeflationError)

@@ -6,16 +6,15 @@ computed trace. The count is nonincreasing in h, so a balanced grid line
 is found by binary search; when no vertical line balances, the matrix is
 rotated by i and the horizontal lines are searched as vertical ones.
 
-Shattering puts one eigenvalue in each grid square, so when the node's
-eigenvalues are known (the shattering eigensolve's, carried down the
-recursion by side), the census at every grid line is predicted before any
-sign iteration runs. The search then runs on the predicted counts and the
-sign function is computed once, at the line it lands on: the line is kept
-only if the rounded Tr sgn there equals the prediction, which certifies
-it exactly as a probe would. On a mismatch the search runs again on
-measured counts, probing with Tr sgn at every step.
+Shattering puts one eigenvalue in each grid square, so the node's
+eigenvalues (the shattering eigensolve's, carried down the recursion by
+side, or one np.linalg.eigvals when none are given) predict the census at
+every grid line before any sign iteration runs. The search runs on the
+predicted counts and the sign function is computed once, at the line it
+lands on. The rounded Tr sgn there must equal the prediction, so the
+kept line's census is always a measured one; a mismatch raises
+SplitFailureError.
 """
-
 from __future__ import annotations
 
 import math
@@ -39,17 +38,10 @@ class SplitResult:
     n_minus: int
     shift_used: float
     orientation: str
-    #: predicted census n_plus - n_minus at the chosen line, None when the
-    #: node's eigenvalues were not given
-    census_predicted: int | None = None
-    #: sign iterations run: 1 when the prediction held at the landing line
-    sgn_calls: int = 0
-    #: the given eigenvalues on each side of the line, None for a side
-    #: whose count differs from n_plus (n_minus)
-    eigenvalues_plus: np.ndarray | None = field(default=None, repr=False,
-                                                compare=False)
-    eigenvalues_minus: np.ndarray | None = field(default=None, repr=False,
-                                                 compare=False)
+    #: the node's eigenvalues on each side of the line, n_plus (n_minus)
+    #: of them
+    eigenvalues_plus: np.ndarray = field(repr=False, compare=False)
+    eigenvalues_minus: np.ndarray = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -57,8 +49,6 @@ class SplitResult:
             "n_minus": self.n_minus,
             "shift_used": self.shift_used,
             "orientation": self.orientation,
-            "census_predicted": self.census_predicted,
-            "sgn_calls": self.sgn_calls,
             "g_plus": self.g_plus.to_json(),
             "g_minus": self.g_minus.to_json(),
             "p_plus_norm": op_norm(self.p_plus),
@@ -151,15 +141,15 @@ def split(a, eps: float, g: Grid, beta: float,
     Requires the eps-pseudospectrum of A shattered with respect to g,
     ||A|| <= 4 and beta <= 0.05/n. Returns approximate spectral projectors
     P_plus/P_minus = (S +- I)/2, the subgrids on each side of the winning
-    line and the eigenvalue counts. Balance: |n_plus - n_minus| <= 3n/5
-    for n > 5; for n <= 5 any line with both sides nonempty is accepted.
+    line, the eigenvalue counts and the eigenvalues on each side. Balance:
+    |n_plus - n_minus| <= 3n/5 for n > 5; for n <= 5 any line with both
+    sides nonempty is accepted.
 
-    eigenvalues, when given (one per square of g, as shattering puts
-    them), predict the census at every line: the search runs on the
-    predictions and Tr sgn is computed only at the line it lands on, which
-    is kept if the rounded trace equals the prediction. Otherwise, or when
-    there are not n of them, the search probes Tr sgn at every line it
-    visits. Either way the kept line's census is the measured one.
+    eigenvalues (n of them, one per square of g, as shattering puts them;
+    np.linalg.eigvals(a) when None) predict the census at every line. The
+    search runs on the predictions and Tr sgn is computed only at the line
+    it lands on; SplitFailureError when its rounded value differs from the
+    prediction, so the kept line's census is always the measured one.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -173,41 +163,27 @@ def split(a, eps: float, g: Grid, beta: float,
     side_slack = 2.0 * g.omega
     if g.s1 * g.omega > 8.0 + side_slack or g.s2 * g.omega > 8.0 + side_slack:
         raise PreconditionError("grid side lengths must be at most 8")
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(a)
+    elif len(eigenvalues) != n:
+        raise PreconditionError(
+            f"split needs {n} eigenvalues, got {len(eigenvalues)}")
 
     threshold = math.floor(3 * n / 5) if n > 5 else n - 2
+    lam = np.asarray(eigenvalues, dtype=np.complex128)
     # horizontal lines of g are the vertical lines of g rotated by i
     grids = {"vertical": g, "horizontal": g.rotated()}
-    # the rotated matrix is built once a horizontal line is measured
-    mats = {"vertical": a}
-    lam = mus = None
-    if eigenvalues is not None and len(eigenvalues) == n:
-        lam = np.asarray(eigenvalues, dtype=np.complex128)
-        mus = {"vertical": lam, "horizontal": 1j * lam}
-    signs: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
+    sides = {"vertical": lam.real, "horizontal": (1j * lam).real}
 
     def line(orientation: str, k: int) -> float:
         grid = grids[orientation]
         return grid.x0 + k * grid.omega
 
-    def measure(orientation: str, k: int) -> int:
-        if (orientation, k) not in signs:
-            if orientation not in mats:
-                mats[orientation] = 1j * a
-            s, t = _signed_sign_trace(mats[orientation], line(orientation, k),
-                                      eps, grids[orientation], beta)
-            signs[orientation, k] = s, _census(t)
-        return signs[orientation, k][1]
-
     def predict(orientation: str, k: int) -> int:
-        return int(np.sign(mus[orientation].real - line(orientation, k)).sum())
+        right = np.count_nonzero(sides[orientation] > line(orientation, k))
+        return 2 * int(right) - n
 
-    found = None
-    if mus is not None:
-        landing = _search(grids, threshold, predict)
-        if landing is not None and measure(*landing[:2]) == landing[2]:
-            found = landing
-    if found is None:
-        found = _search(grids, threshold, measure)
+    found = _search(grids, threshold, predict)
     if found is None:
         raise SplitFailureError(
             "no balanced grid line in either orientation; the "
@@ -215,23 +191,19 @@ def split(a, eps: float, g: Grid, beta: float,
 
     orientation, k, c = found
     shift = line(orientation, k)
+    s, t = _signed_sign_trace(a if orientation == "vertical" else 1j * a,
+                              shift, eps, grids[orientation], beta)
+    if _census(t) != c:
+        raise SplitFailureError(
+            f"sign trace {t:.4f} at the {orientation} line {shift:g} "
+            f"differs from the census {c} the eigenvalues predict")
+
     g_minus, g_plus = grids[orientation].split_vertical(k)
     if orientation == "horizontal":
         g_minus, g_plus = g_minus.rotated_back(), g_plus.rotated_back()
-
     n_plus = (n + c) // 2
-    n_minus = n - n_plus
-    s = signs[orientation, k][0]
     eye = np.eye(n, dtype=np.complex128)
-    p_plus = 0.5 * (s + eye)
-    p_minus = 0.5 * (eye - s)
-    census_predicted = lam_plus = lam_minus = None
-    if mus is not None:
-        census_predicted = predict(orientation, k)
-        side = mus[orientation].real
-        lam_plus, lam_minus = lam[side > shift], lam[side < shift]
-        lam_plus = lam_plus if len(lam_plus) == n_plus else None
-        lam_minus = lam_minus if len(lam_minus) == n_minus else None
-    return SplitResult(p_plus, p_minus, g_plus, g_minus, n_plus, n_minus,
-                       float(shift), orientation, census_predicted,
-                       len(signs), lam_plus, lam_minus)
+    plus = sides[orientation] > shift
+    return SplitResult(0.5 * (s + eye), 0.5 * (eye - s), g_plus, g_minus,
+                       n_plus, n - n_plus, float(shift), orientation,
+                       lam[plus], lam[~plus])

@@ -15,8 +15,9 @@ from specbisect.eig import (CONTRACT_RETRY_BUDGET, EigParams, EigResult,
                             eig_backward, eig_forward, eig_iteration_budget,
                             eig_precision_requirement, eig_shattered,
                             kappa_eig_measure)
-from specbisect.errors import (EigFailureError, PreconditionError,
-                               SpecBisectError)
+from specbisect.errors import (DeflationError, EigFailureError,
+                               PreconditionError, SpecBisectError,
+                               SplitFailureError)
 from specbisect.grids import Grid
 from specbisect.kernels import op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
@@ -233,7 +234,8 @@ def test_eig_shattered_runs_the_matrix_gate_once(monkeypatch):
     assert len(gates) == 1
 
 
-def test_guided_recursion_equals_probing_recursion(monkeypatch, rng):
+def test_recursion_without_eigenvalues_equals_guided_recursion(monkeypatch,
+                                                             rng):
     n = 16
     g = sample_ginibre(n, rng)
     cert = shatter(g / op_norm(g), ShatterParams(gamma=0.05 / 8), rng.child(0))
@@ -241,18 +243,19 @@ def test_guided_recursion_equals_probing_recursion(monkeypatch, rng):
     sgns = _count_calls(monkeypatch, "specbisect.split", "sgn")
     args = (cert.matrix, 1e-6, cert.grid, cert.epsilon, 1 / n, Rng(9))
     guided = eig_shattered(*args, eigenvalues=cert.eigenvalues)
-    guided_calls = len(sgns)
-    probed = eig_shattered(*args)
-    assert guided_calls == n - 1 < len(sgns) - guided_calls
+    assert len(sgns) == n - 1
+    # the root split computes the eigenvalues with np.linalg.eigvals
+    computed = eig_shattered(*args)
+    assert len(sgns) == 2 * (n - 1)
     for field in ("v", "d"):
-        assert np.array_equal(getattr(guided, field), getattr(probed, field))
-    assert (guided.residual, guided.kappa_v, guided.depth,
-            guided.square_assignment) == \
-        (probed.residual, probed.kappa_v, probed.depth,
-         probed.square_assignment)
+        assert np.array_equal(getattr(computed, field), getattr(guided, field))
+    assert (computed.residual, computed.kappa_v, computed.depth,
+            computed.square_assignment) == \
+        (guided.residual, guided.kappa_v, guided.depth,
+         guided.square_assignment)
 
 
-def test_theoretical_certificate_solves_by_probing(monkeypatch):
+def test_theoretical_certificate_solves_with_one_sgn_per_split(monkeypatch):
     n = 4
     a = sample_ginibre(n, Rng(n))
     cert = shatter(a / op_norm(a), ShatterParams(gamma=0.2, mode="theoretical"),
@@ -262,7 +265,7 @@ def test_theoretical_certificate_solves_by_probing(monkeypatch):
     res = eig_shattered(cert.matrix, 1e-3, cert.grid, cert.epsilon, 1 / n,
                         Rng(2), eigenvalues=cert.eigenvalues)
     assert res.residual <= 1e-10
-    assert len(sgns) > n - 1  # the search probed lines it did not keep
+    assert len(sgns) == n - 1
 
 
 def _property_input(kind, n, rng):
@@ -341,6 +344,59 @@ def test_contract_miss_after_the_budget_raises(monkeypatch, rng):
     assert len(vs) == 1 + CONTRACT_RETRY_BUDGET
 
 
+def _raise_on(monkeypatch, name, error, hit, times):
+    """Make eig.name raise error on its calls whose arguments satisfy hit,
+    the first `times` of them; returns the errors raised."""
+    eig_module = importlib.import_module("specbisect.eig")
+    original, raised = getattr(eig_module, name), []
+
+    def failing(*args, **kwargs):
+        if hit(*args) and len(raised) < times:
+            raised.append(error(f"planted failure in {name}"))
+            raise raised[-1]
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eig_module, name, failing)
+    return raised
+
+
+#: (eig's name to fail, the error, which calls fail): the root split, and
+#: a deflation at a 2 x 2 node, the deepest level every recursion reaches
+PLANTED = {
+    "split": ("split", SplitFailureError, lambda *args: True),
+    "deflate": ("deflate", DeflationError,
+                lambda p, *args: p.shape[0] == 2),
+}
+
+
+@pytest.mark.parametrize("name, error, hit", PLANTED.values(), ids=PLANTED)
+def test_probabilistic_failure_retries_with_fresh_randomness(
+        monkeypatch, rng, name, error, hit):
+    n = 8
+    g = sample_ginibre(n, rng)
+    a = g / op_norm(g)
+    params = EigParams(delta=0.05, theta=1 / n)
+    raised = _raise_on(monkeypatch, name, error, hit, times=1)
+    shatters = _count_calls(monkeypatch, "specbisect.eig", "shatter")
+    res = eig_backward(a, 0.05, params, rng.child(5))
+    assert len(raised) == 1 and len(shatters) == 2
+    assert res.residual <= 0.05 and res.kappa_v <= 32 * n**2.5 / 0.05
+
+
+@pytest.mark.parametrize("name, error, hit", PLANTED.values(), ids=PLANTED)
+def test_probabilistic_failure_after_the_budget_raises(
+        monkeypatch, rng, name, error, hit):
+    n = 8
+    g = sample_ginibre(n, rng)
+    raised = _raise_on(monkeypatch, name, error, hit, times=math.inf)
+    shatters = _count_calls(monkeypatch, "specbisect.eig", "shatter")
+    with pytest.raises(EigFailureError) as info:
+        eig_backward(g / op_norm(g), 0.05, EigParams(delta=0.05, theta=0.2),
+                     rng.child(5))
+    assert len(raised) == len(shatters) == 1 + CONTRACT_RETRY_BUDGET
+    assert info.value.__cause__ is raised[-1]
+
+
 # --- EigResult: what a result holds and what it derives ---------------------
 
 @pytest.mark.parametrize("n", [24, 48])
@@ -414,3 +470,13 @@ def test_result_json_construction_and_pickle():
     assert (back.residual, back.kappa_v, back.grid, back.depth) == \
         (1e-9, 1.5, UNIT8, 2)
     assert back.to_json() == res.to_json()
+
+
+def test_result_compares_by_identity():
+    n = 4
+    g = sample_ginibre(n, Rng(n))
+    res = eig_backward(g / op_norm(g), 0.05, EigParams(delta=0.05, theta=0.25),
+                       Rng(n, (1,)))
+    back = pickle.loads(pickle.dumps(res))
+    # an element-wise comparison of V and D would raise here
+    assert res == res and not res == back and res != back

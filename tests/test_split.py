@@ -11,7 +11,7 @@ from specbisect.errors import PreconditionError, SplitFailureError
 from specbisect.grids import Grid
 from specbisect.kernels import fro_norm, op_norm
 from specbisect.randmat import Rng, sample_haar_unitary
-from specbisect.split import eig_count_signed, split
+from specbisect.split import _search, eig_count_signed, split
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
@@ -87,16 +87,20 @@ def test_rotated_matrix_only_for_horizontal_lines(monkeypatch):
     monkeypatch.setattr(split_module, "_signed_sign_trace",
                         lambda m, *args: mats.append(m) or original(m, *args))
     a = np.diag([1.5 + 0.5j, 2.5 - 0.5j, -1.5 + 0.5j]).astype(complex)
-    assert split(a, 0.4, UNIT8, 0.015).orientation == "vertical"
-    assert mats and all(m is a for m in mats)
-    mats.clear()
     # the horizontal fallback's input: every vertical line fails
     b = np.diag([0.5 + 0.5j, 0.5 - 0.5j, 0.5 + 1.5j, 0.5 - 1.5j]).astype(complex)
-    assert split(b, 0.4, UNIT8, 0.0125).orientation == "horizontal"
-    rotated = [m for m in mats if m is not b]
-    assert len(rotated) < len(mats)  # the vertical search ran first
-    assert all(m is rotated[0] for m in rotated)  # built once
-    assert np.array_equal(rotated[0], 1j * b)
+    for evals in (None, np.diag(a)):
+        mats.clear()
+        assert split(a, 0.4, UNIT8, 0.015,
+                     eigenvalues=evals).orientation == "vertical"
+        assert len(mats) == 1 and mats[0] is a
+    for evals in (None, np.diag(b)):
+        mats.clear()
+        assert split(b, 0.4, UNIT8, 0.0125,
+                     eigenvalues=evals).orientation == "horizontal"
+        # one sign iteration, on the rotated matrix built for it
+        assert len(mats) == 1 and mats[0] is not b
+        assert np.array_equal(mats[0], 1j * b)
 
 
 def test_split_nonnormal_projector_oracle(rng):
@@ -199,15 +203,36 @@ def _assert_same_split(got, want):
          want.g_plus, want.g_minus)
 
 
+def _probing_line(a, eps, beta):
+    """(orientation, shift, census) of the line a binary search lands on
+    when it measures Tr sgn at every line it visits, or None."""
+    n = a.shape[0]
+    grids = {"vertical": UNIT8, "horizontal": UNIT8.rotated()}
+    mats = {"vertical": a, "horizontal": 1j * a}
+
+    def line(orientation, k):
+        return grids[orientation].x0 + k * grids[orientation].omega
+
+    def measure(orientation, k):
+        return eig_count_signed(mats[orientation], line(orientation, k), eps,
+                                grids[orientation], beta)
+
+    threshold = math.floor(3 * n / 5) if n > 5 else n - 2
+    found = _search(grids, threshold, measure)
+    if found is None:
+        return None
+    orientation, k, c = found
+    return orientation, line(orientation, k), c
+
+
 @pytest.mark.parametrize("make", GUIDED_CASES.values(), ids=GUIDED_CASES)
 def test_guided_split_equals_probing_split(make):
     a, evals, eps, beta = make()
-    probed = split(a, eps, UNIT8, beta)
     guided = split(a, eps, UNIT8, beta, eigenvalues=evals)
-    _assert_same_split(guided, probed)
-    assert guided.sgn_calls == 1 < probed.sgn_calls
-    assert guided.census_predicted == guided.n_plus - guided.n_minus
-    assert probed.census_predicted is None
+    # no eigenvalues given: split predicts from np.linalg.eigvals(a)
+    _assert_same_split(split(a, eps, UNIT8, beta), guided)
+    assert (guided.orientation, guided.shift_used,
+            guided.n_plus - guided.n_minus) == _probing_line(a, eps, beta)
     # each child gets its own side's eigenvalues
     side = evals.real if guided.orientation == "vertical" else -evals.imag
     assert set(guided.eigenvalues_plus) == set(evals[side > guided.shift_used])
@@ -218,42 +243,57 @@ def test_guided_split_equals_probing_split(make):
         assert guided.g_minus.square_index(complex(lam)) is not None
 
 
-def test_wrong_prediction_falls_back_to_probing():
+def test_wrong_prediction_raises_split_failure():
     a, evals, eps, beta = GUIDED_CASES["horizontal"]()
-    probed = split(a, eps, UNIT8, beta)
-    assert (probed.orientation, probed.shift_used) == ("horizontal", 0.0)
+    right = split(a, eps, UNIT8, beta, eigenvalues=evals)
+    assert (right.orientation, right.shift_used) == ("horizontal", 0.0)
     # 0.5 - 1.5j moved across the line Im z = 0 the search lands on: the
     # prediction there reads -2, the measured census 0
     wrong = np.where(evals == 0.5 - 1.5j, 0.5 + 2.5j, evals)
-    got = split(a, eps, UNIT8, beta, eigenvalues=wrong)
-    # the probing search runs, reusing the landing line's sgn
-    assert got.sgn_calls == probed.sgn_calls > 1
-    assert got.census_predicted == -2 != got.n_plus - got.n_minus
-    _assert_same_split(got, probed)
-    # a side whose prediction disagrees with the measured count gets None
-    assert got.eigenvalues_plus is None and got.eigenvalues_minus is None
+    with pytest.raises(SplitFailureError, match="predict"):
+        split(a, eps, UNIT8, beta, eigenvalues=wrong)
 
 
-def test_eigenvalue_count_mismatch_probes():
+def test_eigenvalue_count_mismatch_raises():
     a, evals, eps, beta = GUIDED_CASES["haar-eight"]()
-    probed = split(a, eps, UNIT8, beta)
-    got = split(a, eps, UNIT8, beta, eigenvalues=evals[:-1])
-    _assert_same_split(got, probed)
-    assert got.sgn_calls == probed.sgn_calls
-    assert got.census_predicted is None and got.eigenvalues_plus is None
+    for guess in (evals[:-1], np.append(evals, 0.5 + 0.5j)):
+        with pytest.raises(PreconditionError, match="8 eigenvalues"):
+            split(a, eps, UNIT8, beta, eigenvalues=guess)
 
 
-def test_split_json_reports_prediction_and_sgn_calls():
+def test_split_json_keys():
     a, evals, eps, beta = GUIDED_CASES["two-by-two"]()
     report = split(a, eps, UNIT8, beta, eigenvalues=evals).to_json()
-    assert (report["census_predicted"], report["sgn_calls"]) == (0, 1)
-    report = split(a, eps, UNIT8, beta).to_json()
-    assert report["census_predicted"] is None and report["sgn_calls"] >= 1
+    assert sorted(report) == ["g_minus", "g_plus", "n_minus", "n_plus",
+                              "orientation", "p_minus_norm", "p_plus_norm",
+                              "shift_used"]
+    assert split(a, eps, UNIT8, beta).to_json() == report
 
 
 #: square centres of UNIT8 inside the disc |z| <= 4 that split requires
 CENTRES = [complex(x, y) for x in np.arange(-3.5, 4.0) for y in
            np.arange(-3.5, 4.0) if abs(complex(x, y)) <= 4.0]
+
+
+def _predicted_landing(evals):
+    """(orientation, shift, census) of the line the search on the census
+    evals predict lands on, or None."""
+    m = len(evals)
+    grids = {"vertical": UNIT8, "horizontal": UNIT8.rotated()}
+    sides = {"vertical": evals.real, "horizontal": -evals.imag}
+
+    def line(orientation, k):
+        return grids[orientation].x0 + k * grids[orientation].omega
+
+    found = _search(grids, math.floor(3 * m / 5) if m > 5 else m - 2,
+                    lambda o, k: census(sides[o], line(o, k)))
+    return None if found is None else (found[0], line(*found[:2]), found[2])
+
+
+def _measured(a, orientation, h, beta):
+    if orientation == "vertical":
+        return eig_count_signed(a, h, 0.4, UNIT8, beta)
+    return eig_count_signed(1j * a, h, 0.4, UNIT8.rotated(), beta)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -263,9 +303,9 @@ CENTRES = [complex(x, y) for x in np.arange(-3.5, 4.0) for y in
                       min_size=1, max_size=3),
        drop=st.booleans())
 def test_corrupted_prediction_property(evals, moves, drop):
-    """Whatever the prediction, split keeps only a line whose measured
-    census it has: the probing split's, unless the corrupted search lands
-    on a line where the prediction is right."""
+    """Whatever the eigenvalues predict, split keeps a line only if its
+    measured census equals the prediction, and raises SplitFailureError
+    only when no predicted line balances or the measurement disagrees."""
     m = len(evals)
     evals = np.array(evals)
     u = sample_haar_unitary(m, Rng(m))
@@ -275,25 +315,22 @@ def test_corrupted_prediction_property(evals, moves, drop):
     for j, z in moves:
         wrong[j % m] = z
     if drop:
-        wrong = wrong[:-1]
+        with pytest.raises(PreconditionError):
+            split(a, 0.4, UNIT8, beta, eigenvalues=wrong[:-1])
+    landing = _predicted_landing(wrong)
     try:
-        probed = split(a, 0.4, UNIT8, beta)
+        got = split(a, 0.4, UNIT8, beta, eigenvalues=wrong)
     except SplitFailureError:
-        for guess in (evals, wrong):
-            with pytest.raises(SplitFailureError):
-                split(a, 0.4, UNIT8, beta, eigenvalues=guess)
+        assert landing is None or \
+            _measured(a, *landing[:2], beta) != landing[2]
         return
-    _assert_same_split(split(a, 0.4, UNIT8, beta, eigenvalues=evals), probed)
-    got = split(a, 0.4, UNIT8, beta, eigenvalues=wrong)
+    h, orientation = got.shift_used, got.orientation
     measured = got.n_plus - got.n_minus
-    if got.census_predicted != measured:
-        _assert_same_split(got, probed)
-        return
-    # the prediction holds at the kept line, which its Tr sgn certified
-    h = got.shift_used
-    side = evals.real if got.orientation == "vertical" else -evals.imag
-    assert measured == int(np.sign(side - h).sum())
+    assert (orientation, h, measured) == landing
+    assert measured == _measured(a, orientation, h, beta)
     assert abs(measured) <= (math.floor(3 * m / 5) if m > 5 else m - 2)
-    want = oracle_projector(a, lambda z: (z if got.orientation == "vertical"
+    assert (len(got.eigenvalues_plus), len(got.eigenvalues_minus)) == \
+        (got.n_plus, got.n_minus)
+    want = oracle_projector(a, lambda z: (z if orientation == "vertical"
                                           else 1j * z).real > h)
     assert np.linalg.norm(got.p_plus - want, 2) <= beta
