@@ -73,12 +73,13 @@ def gap_tail_bound(n: int, gamma: float, r: float) -> float:
 def _bracketing_lines(centres, origin: float, omega: float,
                       count: int) -> np.ndarray:
     """Positions origin + omega*k, 0 <= k <= count, of the grid lines next
-    to each centre: the last line at or below it and the first above it."""
+    to each centre: the last line at or below it and the first above it.
+    Repeats are kept, since only the largest line sum is read."""
     # a quotient rounded across an integer shifts the pair by one line only
     # for a centre within ulps of a line, and that line, where the sum is
     # largest, stays in the pair
     k = np.floor((centres - origin) / omega)
-    k = np.unique(np.clip(np.concatenate([k, k + 1.0]), 0.0, count))
+    k = np.clip(np.concatenate([k, k + 1.0]), 0.0, count)
     return origin + omega * k
 
 

@@ -2,17 +2,17 @@
 
 The signed eigenvalue count across a vertical line Re z = h is
 Tr sgn(A - hI) = n_plus - n_minus, an integer recovered by rounding the
-computed trace. The count is nonincreasing in h, so a balanced grid line
-is found by binary search; when no vertical line balances, the matrix is
-rotated by i and the horizontal lines are searched as vertical ones.
+computed trace. The count is nonincreasing in h; when no vertical line
+balances, the matrix is rotated by i and the horizontal lines are tried as
+vertical ones.
 
 Shattering puts one eigenvalue in each grid square, so the node's
 eigenvalues (the shattering eigensolve's, carried down the recursion by
 side, or one np.linalg.eigvals when none are given) predict the census at
-every grid line before any sign iteration runs. The search runs on the
-predicted counts and the sign function is computed once, at the line it
-lands on. The rounded Tr sgn there must equal the prediction, so the
-kept line's census is always a measured one; a mismatch raises
+every grid line before any sign iteration runs. The most balanced line is
+read off the two median eigenvalues, and the sign function is computed
+once, at that line. The rounded Tr sgn there must equal the prediction, so
+the kept line's census is always a measured one; a mismatch raises
 SplitFailureError.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .kernels import as_cmatrix, fro_norm, op_norm, trace
 from .sgn import SgnParams, sgn, sgn_params_from_shattering
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitResult:
     p_plus: np.ndarray
     p_minus: np.ndarray
@@ -40,8 +40,8 @@ class SplitResult:
     orientation: str
     #: the node's eigenvalues on each side of the line, n_plus (n_minus)
     #: of them
-    eigenvalues_plus: np.ndarray = field(repr=False, compare=False)
-    eigenvalues_minus: np.ndarray = field(repr=False, compare=False)
+    eigenvalues_plus: np.ndarray = field(repr=False)
+    eigenvalues_minus: np.ndarray = field(repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -88,68 +88,56 @@ def eig_count_signed(a, h: float, eps: float, g: Grid, beta: float) -> int:
     return _census(t)
 
 
-def _search_vertical(n_lines: int, threshold: int, census):
-    """Binary search over the interior vertical lines 1 .. n_lines for a
-    balanced census.
+def _median_line(side: np.ndarray, grid: Grid):
+    """(k, census) of the most balanced interior vertical line k of grid,
+    side holding the eigenvalues' real parts; None when grid has none.
 
-    census(k) is the signed count at line k, nonincreasing in k. Returns
-    (k, census(k)) or None.
+    The census is nonincreasing in k and changes only across columns that
+    hold eigenvalues, so its smallest magnitude lies between the columns of
+    the lower and upper medians lo <= hi: at every line from the first one
+    right of lo to the last one at or left of hi (the middle one is kept),
+    or, when they share a column, at one of its two edge lines.
     """
-    if n_lines < 1:
+    if grid.s1 < 2:
         return None
-    lo, hi = 1, n_lines
-    c_lo = census(lo)
-    if abs(c_lo) <= threshold:
-        return lo, c_lo
-    if c_lo < -threshold:
-        return None
-    c_hi = census(hi)
-    if abs(c_hi) <= threshold:
-        return hi, c_hi
-    if c_hi > threshold:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        c_m = census(mid)
-        if abs(c_m) <= threshold:
-            return mid, c_m
-        if c_m > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return None
+    n = len(side)
+    lo, hi = np.sort(side)[[(n - 1) // 2, n // 2]]
 
+    def clip(k: int) -> int:
+        return min(max(k, 1), grid.s1 - 1)
 
-def _search(grids: dict, threshold: int, census):
-    """(orientation, k, count) of the balanced line the binary search finds
-    among the vertical lines, else among the horizontal ones (searched as
-    vertical lines of the rotated grid); None when neither balances.
-    census(orientation, k) is the signed count at line k of grids[orientation].
-    """
-    for orientation, grid in grids.items():
-        found = _search_vertical(grid.s1 - 1, threshold,
-                                 lambda k: census(orientation, k))
-        if found is not None:
-            return orientation, *found
-    return None
+    def census(k: int) -> int:
+        line = grid.x0 + k * grid.omega
+        return 2 * int(np.count_nonzero(side > line)) - n
+
+    # the first line right of lo and the last line at or left of hi
+    first = clip(math.floor((lo - grid.x0) / grid.omega) + 1)
+    last = clip(math.floor((hi - grid.x0) / grid.omega))
+    if first <= last:
+        k = (first + last) // 2
+    else:  # one column: its left edge is last, its right edge first
+        k = min(last, first, key=lambda j: abs(census(j)))
+    return k, census(k)
 
 
 def split(a, eps: float, g: Grid, beta: float,
           eigenvalues: np.ndarray | None = None) -> SplitResult:
-    """Bisect the spectrum along a balanced grid line.
+    """Bisect the spectrum along the most balanced grid line.
 
     Requires the eps-pseudospectrum of A shattered with respect to g,
     ||A|| <= 4 and beta <= 0.05/n. Returns approximate spectral projectors
-    P_plus/P_minus = (S +- I)/2, the subgrids on each side of the winning
+    P_plus/P_minus = (S +- I)/2, the subgrids on each side of the kept
     line, the eigenvalue counts and the eigenvalues on each side. Balance:
     |n_plus - n_minus| <= 3n/5 for n > 5; for n <= 5 any line with both
     sides nonempty is accepted.
 
     eigenvalues (n of them, one per square of g, as shattering puts them;
     np.linalg.eigvals(a) when None) predict the census at every line. The
-    search runs on the predictions and Tr sgn is computed only at the line
-    it lands on; SplitFailureError when its rounded value differs from the
-    prediction, so the kept line's census is always the measured one.
+    vertical line of smallest predicted |census| is kept if it balances,
+    else the horizontal one; SplitFailureError when neither does. Tr sgn is
+    computed only at the kept line, and SplitFailureError is raised when
+    its rounded value differs from the prediction, so the kept line's
+    census is always the measured one.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -172,38 +160,32 @@ def split(a, eps: float, g: Grid, beta: float,
     threshold = math.floor(3 * n / 5) if n > 5 else n - 2
     lam = np.asarray(eigenvalues, dtype=np.complex128)
     # horizontal lines of g are the vertical lines of g rotated by i
-    grids = {"vertical": g, "horizontal": g.rotated()}
-    sides = {"vertical": lam.real, "horizontal": (1j * lam).real}
-
-    def line(orientation: str, k: int) -> float:
-        grid = grids[orientation]
-        return grid.x0 + k * grid.omega
-
-    def predict(orientation: str, k: int) -> int:
-        right = np.count_nonzero(sides[orientation] > line(orientation, k))
-        return 2 * int(right) - n
-
-    found = _search(grids, threshold, predict)
-    if found is None:
+    for orientation, grid, side in (("vertical", g, lam.real),
+                                    ("horizontal", g.rotated(),
+                                     (1j * lam).real)):
+        found = _median_line(side, grid)
+        if found is not None and abs(found[1]) <= threshold:
+            break
+    else:
         raise SplitFailureError(
             "no balanced grid line in either orientation; the "
             "shattering precondition is likely violated")
 
-    orientation, k, c = found
-    shift = line(orientation, k)
+    k, c = found
+    shift = grid.x0 + k * grid.omega
     s, t = _signed_sign_trace(a if orientation == "vertical" else 1j * a,
-                              shift, eps, grids[orientation], beta)
+                              shift, eps, grid, beta)
     if _census(t) != c:
         raise SplitFailureError(
             f"sign trace {t:.4f} at the {orientation} line {shift:g} "
             f"differs from the census {c} the eigenvalues predict")
 
-    g_minus, g_plus = grids[orientation].split_vertical(k)
+    g_minus, g_plus = grid.split_vertical(k)
     if orientation == "horizontal":
         g_minus, g_plus = g_minus.rotated_back(), g_plus.rotated_back()
     n_plus = (n + c) // 2
     eye = np.eye(n, dtype=np.complex128)
-    plus = sides[orientation] > shift
+    plus = side > shift
     return SplitResult(0.5 * (s + eye), 0.5 * (eye - s), g_plus, g_minus,
                        n_plus, n - n_plus, float(shift), orientation,
                        lam[plus], lam[~plus])

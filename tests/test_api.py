@@ -185,9 +185,9 @@ def test_grid_rejects_infinite_omega():
         Grid(0j, math.inf, 4, 4)
 
 
-def test_solver_runs_without_scipy_linalg():
+def test_solver_runs_without_scipy_linalg_or_numpy_ma():
     # a fresh process: pytest's filterwarnings setting imports scipy.linalg
-    # into this one
+    # into this one, and numpy.ma comes with the assertion helpers
     code = (
         "import sys\n"
         "import specbisect as sb\n"
@@ -196,7 +196,7 @@ def test_solver_runs_without_scipy_linalg():
         "p = sb.EigParams(0.05, 1 / 16)\n"
         "assert sb.eig_backward(a, 0.05, p, sb.Rng(2)).residual <= 0.05\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith('scipy.linalg')))\n")
+        "             if m == 'numpy.ma' or m.startswith('scipy.linalg')))\n")
     src = str(Path(specbisect.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,

@@ -95,7 +95,7 @@ def test_split_command(tmp_path, runner):
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert report["n_plus"] == 1 and report["n_minus"] == 1
-    assert (report["orientation"], report["shift_used"]) == ("vertical", 3.0)
+    assert (report["orientation"], report["shift_used"]) == ("vertical", 0.0)
     assert "census_predicted" not in report and "sgn_calls" not in report
 
 

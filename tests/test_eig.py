@@ -123,6 +123,31 @@ def test_depth_bound(rng):
     assert res.depth <= math.log(n) / math.log(1.25)
 
 
+def _bench_input(kind, n, i):
+    """Input i of the benchmark's seed-1 set of that family and size, built
+    as bench/workloads.py builds it, and the Rng its solve gets."""
+    rng = Rng(1, (0, i))
+    if kind == "ginibre":
+        a = sample_ginibre(n, rng)
+    else:  # Q diag(d) Q* with Q Haar and d cycling through {1, -1, i, -i}
+        q = sample_haar_unitary(n, rng)
+        a = (q * np.array([1, -1, 1j, -1j])[np.arange(n) % 4]) @ q.conj().T
+    return a / np.linalg.norm(a, 2), Rng(1, (1, i))
+
+
+@pytest.mark.parametrize("kind,n,inputs", [
+    ("ginibre", 24, (22, 25)), ("ginibre", 48, (6, 10)),
+    ("clustered", 24, (1, 3)), ("clustered", 48, (1, 5))],
+    ids=["ginibre-24", "ginibre-48", "clustered-24", "clustered-48"])
+def test_median_split_depth_is_logarithmic(kind, n, inputs):
+    # a split that keeps the first balanced line a binary search finds,
+    # not the most balanced one, recurses 8 or 9 levels deep on these
+    for i in inputs:
+        a, rng = _bench_input(kind, n, i)
+        res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n), rng)
+        assert res.depth <= math.ceil(math.log2(n)) + 2
+
+
 def test_determinism(rng):
     g = sample_ginibre(6, rng)
     a = g / op_norm(g)

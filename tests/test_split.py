@@ -1,3 +1,4 @@
+import copy
 import importlib
 import math
 
@@ -11,7 +12,7 @@ from specbisect.errors import PreconditionError, SplitFailureError
 from specbisect.grids import Grid
 from specbisect.kernels import fro_norm, op_norm
 from specbisect.randmat import Rng, sample_haar_unitary
-from specbisect.split import _search, eig_count_signed, split
+from specbisect.split import eig_count_signed, split
 
 UNIT8 = Grid(complex(-4, -4), 1.0, 8, 8)
 
@@ -62,7 +63,9 @@ def test_split_three_diag():
     res = split(a, 0.4, UNIT8, 0.015)
     assert res.n_plus + res.n_minus == 3
     assert min(res.n_plus, res.n_minus) >= 1
-    assert res.shift_used in (2.0, 3.0)
+    # the medians share the column 2 < Re z < 3: its edges tie at census +1
+    # and -1, and the left one is kept
+    assert res.shift_used == 2.0
 
 
 def test_split_horizontal_fallback():
@@ -203,26 +206,39 @@ def _assert_same_split(got, want):
          want.g_plus, want.g_minus)
 
 
-def _probing_line(a, eps, beta):
-    """(orientation, shift, census) of the line a binary search lands on
-    when it measures Tr sgn at every line it visits, or None."""
-    n = a.shape[0]
-    grids = {"vertical": UNIT8, "horizontal": UNIT8.rotated()}
-    mats = {"vertical": a, "horizontal": 1j * a}
+def _oracle_lines(evals):
+    """(orientation, {shift: census}) of the lines split may keep for the
+    predicted eigenvalues evals, or None when no line of UNIT8 balances.
 
-    def line(orientation, k):
-        return grids[orientation].x0 + k * grids[orientation].omega
+    Brute force: the census is predicted at every interior line of both
+    orientations, and the first orientation whose smallest |census| meets
+    split's threshold is kept. Its lines of smallest |census| qualify; when
+    the lower and upper medians lie in different columns, only the middle
+    line of that run of equal lines does.
+    """
+    m = len(evals)
+    threshold = math.floor(3 * m / 5) if m > 5 else m - 2
+    for orientation, grid, side in (("vertical", UNIT8, evals.real),
+                                    ("horizontal", UNIT8.rotated(),
+                                     -evals.imag)):
+        shifts = [grid.x0 + k * grid.omega for k in range(1, grid.s1)]
+        counts = [census(side, h) for h in shifts]
+        best = min(abs(c) for c in counts)
+        if best > threshold:
+            continue
+        run = [k for k, c in enumerate(counts) if abs(c) == best]
+        lo, hi = np.sort(side)[[(m - 1) // 2, m // 2]]
+        if math.floor((lo - grid.x0) / grid.omega) != \
+                math.floor((hi - grid.x0) / grid.omega):
+            run = [run[(len(run) - 1) // 2]]
+        return orientation, {shifts[k]: counts[k] for k in run}
+    return None
 
-    def measure(orientation, k):
-        return eig_count_signed(mats[orientation], line(orientation, k), eps,
-                                grids[orientation], beta)
 
-    threshold = math.floor(3 * n / 5) if n > 5 else n - 2
-    found = _search(grids, threshold, measure)
-    if found is None:
-        return None
-    orientation, k, c = found
-    return orientation, line(orientation, k), c
+def _measured(a, orientation, h, beta, eps=0.4):
+    if orientation == "vertical":
+        return eig_count_signed(a, h, eps, UNIT8, beta)
+    return eig_count_signed(1j * a, h, eps, UNIT8.rotated(), beta)
 
 
 @pytest.mark.parametrize("make", GUIDED_CASES.values(), ids=GUIDED_CASES)
@@ -231,8 +247,10 @@ def test_guided_split_equals_probing_split(make):
     guided = split(a, eps, UNIT8, beta, eigenvalues=evals)
     # no eigenvalues given: split predicts from np.linalg.eigvals(a)
     _assert_same_split(split(a, eps, UNIT8, beta), guided)
-    assert (guided.orientation, guided.shift_used,
-            guided.n_plus - guided.n_minus) == _probing_line(a, eps, beta)
+    orientation, lines = _oracle_lines(evals)
+    h, c = guided.shift_used, guided.n_plus - guided.n_minus
+    assert guided.orientation == orientation and lines.get(h) == c
+    assert _measured(a, orientation, h, beta, eps) == c
     # each child gets its own side's eigenvalues
     side = evals.real if guided.orientation == "vertical" else -evals.imag
     assert set(guided.eigenvalues_plus) == set(evals[side > guided.shift_used])
@@ -247,11 +265,19 @@ def test_wrong_prediction_raises_split_failure():
     a, evals, eps, beta = GUIDED_CASES["horizontal"]()
     right = split(a, eps, UNIT8, beta, eigenvalues=evals)
     assert (right.orientation, right.shift_used) == ("horizontal", 0.0)
-    # 0.5 - 1.5j moved across the line Im z = 0 the search lands on: the
-    # prediction there reads -2, the measured census 0
+    # 0.5 - 1.5j moved to 0.5 + 2.5j: the medians now put the line at
+    # Im z = 1, where the prediction reads 0 and the measured census 2
     wrong = np.where(evals == 0.5 - 1.5j, 0.5 + 2.5j, evals)
     with pytest.raises(SplitFailureError, match="predict"):
         split(a, eps, UNIT8, beta, eigenvalues=wrong)
+
+
+def test_result_compares_by_identity():
+    a, evals, eps, beta = GUIDED_CASES["haar-eight"]()
+    res = split(a, eps, UNIT8, beta, eigenvalues=evals)
+    back = copy.deepcopy(res)
+    # an element-wise comparison of the projectors would raise here
+    assert res == res and not res == back and res != back
 
 
 def test_eigenvalue_count_mismatch_raises():
@@ -275,27 +301,6 @@ CENTRES = [complex(x, y) for x in np.arange(-3.5, 4.0) for y in
            np.arange(-3.5, 4.0) if abs(complex(x, y)) <= 4.0]
 
 
-def _predicted_landing(evals):
-    """(orientation, shift, census) of the line the search on the census
-    evals predict lands on, or None."""
-    m = len(evals)
-    grids = {"vertical": UNIT8, "horizontal": UNIT8.rotated()}
-    sides = {"vertical": evals.real, "horizontal": -evals.imag}
-
-    def line(orientation, k):
-        return grids[orientation].x0 + k * grids[orientation].omega
-
-    found = _search(grids, math.floor(3 * m / 5) if m > 5 else m - 2,
-                    lambda o, k: census(sides[o], line(o, k)))
-    return None if found is None else (found[0], line(*found[:2]), found[2])
-
-
-def _measured(a, orientation, h, beta):
-    if orientation == "vertical":
-        return eig_count_signed(a, h, 0.4, UNIT8, beta)
-    return eig_count_signed(1j * a, h, 0.4, UNIT8.rotated(), beta)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(evals=st.lists(st.sampled_from(CENTRES), min_size=2, max_size=8,
                       unique=True),
@@ -317,16 +322,16 @@ def test_corrupted_prediction_property(evals, moves, drop):
     if drop:
         with pytest.raises(PreconditionError):
             split(a, 0.4, UNIT8, beta, eigenvalues=wrong[:-1])
-    landing = _predicted_landing(wrong)
+    oracle = _oracle_lines(wrong)
     try:
         got = split(a, 0.4, UNIT8, beta, eigenvalues=wrong)
     except SplitFailureError:
-        assert landing is None or \
-            _measured(a, *landing[:2], beta) != landing[2]
+        assert oracle is None or any(_measured(a, oracle[0], h, beta) != c
+                                     for h, c in oracle[1].items())
         return
     h, orientation = got.shift_used, got.orientation
     measured = got.n_plus - got.n_minus
-    assert (orientation, h, measured) == landing
+    assert orientation == oracle[0] and oracle[1].get(h) == measured
     assert measured == _measured(a, orientation, h, beta)
     assert abs(measured) <= (math.floor(3 * m / 5) if m > 5 else m - 2)
     assert (len(got.eigenvalues_plus), len(got.eigenvalues_minus)) == \
