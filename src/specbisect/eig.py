@@ -43,6 +43,12 @@ def _check_delta(delta: float) -> None:
 
 @dataclass(frozen=True)
 class EigParams:
+    """Parameters of eig_backward and eig_forward. theta is the failure
+    budget: the recursion sizes each split's accuracy so that a solve
+    fails with probability at most theta, capped by eig_backward at 1/n.
+    delta is validated but not read: the accuracy a solve uses is
+    eig_backward's positional delta."""
+
     delta: float
     theta: float
 

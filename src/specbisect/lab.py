@@ -175,6 +175,8 @@ def run_e2e_experiment(n: int, delta: float, trials: int, rng: Rng
     """End-to-end backward-error success rate of the full pipeline on
     random unit-norm inputs, versus the 1 - 1/n - 12/n^2 floor.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     _check_trials(trials)
     params = EigParams(delta=delta, theta=1.0 / n)
     depth_cap = math.log(n) / math.log(1.25)

@@ -5,13 +5,13 @@ The scalar Newton map g(z) = (z + 1/z)/2 squares the Apollonius modulus
 region C_alpha contract toward {-1, +1} at a doubly exponential rate. The
 iteration count and precision formulas here are closed forms derived from
 that geometry; sgn() returns what exactly that many steps of the matrix
-iteration give, bit for bit, and stops early once an iterate repeats one
-it has already seen, from which point the rest of the run is known. A
-step costs one LAPACK zgesv call through numpy (one LU and its solve
-against the identity, mat_inv) and two Frobenius norms, of the inverse
-and of the new iterate, which serve the singularity test, the trace, the
-finiteness check and the repeat search at once; bytes are compared only
-between iterates of equal norm.
+iteration give, bit for bit, and stops early at a fixed point, an iterate
+that equals the one before it bit for bit, since every later step would
+return it again. A step costs one LAPACK zgesv call through numpy (one LU
+and its solve against the identity, mat_inv) and two Frobenius norms, of
+the inverse and of the new iterate, which serve the singularity test, the
+trace, the finiteness check and the fixed-point test at once; bytes are
+compared only when the new iterate's norm equals the last one's.
 
 lg denotes log base 2 throughout.
 """
@@ -29,10 +29,6 @@ from .kernels import (C_INV, MU_INV, UNIT_ROUNDOFF, as_cmatrix, fro_norm,
                       mat_inv)
 # sgn calls neither; the benchmark's trace (bench/spans.py SITES) wraps both
 from .kernels import lu_pivot_extremes, op_norm  # noqa: F401
-
-#: sgn keeps the last REPEAT_WINDOW iterates to detect a repeat; a cycle
-#: longer than this is not detected and the iteration runs its full count
-REPEAT_WINDOW = 8
 
 
 def _lg(x: float) -> float:
@@ -70,14 +66,13 @@ class SgnTrace:
     """Per-step diagnostics of one sgn() run.
 
     budget is the paper's step count N; n_steps <= budget is the number of
-    steps run. iterate_norms[k] = (||X_k||_F, ||X_k^-1||_F) for each
-    inverted iterate, k = 0 ... n_steps-1 (X_0 = A). Frobenius norms are
-    upper bounds on the 2-norms, taken in O(n^2) from the arrays the step
-    already holds, so the trace runs no SVD. cycle = (j, p) when the
-    iterate X_{j+p}, p > 0 and j + p = n_steps, repeated X_j bit for bit;
-    None when the whole budget ran. The predicted sequences and the
-    required precision are derived from (alpha0, eps0, beta, n) when read,
-    so a run whose trace is discarded does not pay for them.
+    steps run, below budget when the run stopped at a fixed point.
+    iterate_norms[k] = (||X_k||_F, ||X_k^-1||_F) for each inverted
+    iterate, k = 0 ... n_steps-1 (X_0 = A). Frobenius norms are upper
+    bounds on the 2-norms, taken in O(n^2) from the arrays the step
+    already holds, so the trace runs no SVD. The predicted sequences and
+    the required precision are derived from (alpha0, eps0, beta, n) when
+    read, so a run whose trace is discarded does not pay for them.
     """
 
     iterate_norms: list[tuple[float, float]]
@@ -87,7 +82,6 @@ class SgnTrace:
     eps0: float
     beta: float
     n: int
-    cycle: tuple[int, int] | None = None
 
     @property
     def hardware_bits(self) -> float:
@@ -111,7 +105,6 @@ class SgnTrace:
         return {
             "n_steps": self.n_steps,
             "budget": self.budget,
-            "cycle": None if self.cycle is None else list(self.cycle),
             "iterate_norms": [list(t) for t in self.iterate_norms],
             "predicted_alpha": self.predicted_alpha,
             "predicted_eps_floor": self.predicted_eps_floor,
@@ -267,21 +260,6 @@ def condition_bounds_from_pseudospectrum(alpha: float, eps: float
     return 1.0 / eps, 4.0 * alpha / ((1.0 - alpha) ** 2 * eps)
 
 
-def _kept_repeat(entry: list, recent: dict[int, list]) -> int | None:
-    """k of the first kept [||X_k||_F, X_k, bytes] whose X_k has the bits of
-    entry's iterate, or None. Bytes, which unlike == tell -0.0 from 0.0,
-    are taken only once the norms agree, and are kept for later steps."""
-    for k, kept in recent.items():
-        if kept[0] != entry[0]:
-            continue
-        for e in (entry, kept):
-            if e[2] is None:
-                e[2] = e[1].tobytes()
-        if kept[2] == entry[2]:
-            return k
-    return None
-
-
 def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     """Newton iteration A <- (A + A^-1)/2, equivalent to exactly N steps.
 
@@ -295,16 +273,15 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     Each step is one zgesv call (mat_inv: one LU and its solve), no SVD,
     and two Frobenius norms. mat_inv takes the inverse's, for its
     singularity test against the iterate's norm that sgn passes it, and
-    the trace records both. The new iterate's norm is the key of the
-    repeat search, and it is finite exactly when every entry is, short of
-    the norm itself overflowing (then the entries are checked). A step is
-    a deterministic function of the iterate's bits, so once X_k equals an
-    earlier X_j bit for bit (p = k - j), the iterates cycle with period p and
-    X_N = X_{j + (N-j) mod p}: sgn returns that kept iterate without
-    running the remaining steps. The skipped steps would have inverted and
-    checked only iterates that already passed. Candidates are the last
-    REPEAT_WINDOW iterates; only those whose norm equals X_k's are
-    compared on their bytes, which, unlike ==, tell -0.0 from 0.0.
+    the trace records both. The new iterate's norm is finite exactly when
+    every entry is, short of the norm itself overflowing (then the entries
+    are checked). A step is a deterministic function of the iterate's
+    bits, so once X_{k+1} equals X_k bit for bit, every later iterate
+    equals it too and X_N = X_{k+1}: sgn returns it without running the
+    remaining steps, which would have inverted and checked only that
+    iterate again. The bytes, which unlike == tell -0.0 from 0.0, are
+    compared only when the two norms are equal. The result is always a
+    computed iterate, never the caller's array.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -313,24 +290,12 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
                      alpha0=params.alpha0, eps0=params.eps0,
                      beta=params.beta, n=n)
 
-    # X_0 may be the result, which must not be the caller's array
-    x = a.copy(order="K")
-    x_norm = fro_norm(x)
-    # k -> [||X_k||_F, X_k, bytes of X_k once a norm has matched it]
-    recent: dict[int, list] = {}
+    x, x_norm = a, fro_norm(a)
     # an overflowing inverse is caught by the finiteness check below, so
     # numpy's overflow/invalid warnings on the way there are noise, and so
     # is the invalid flag of an exactly zero pivot, which mat_inv raises on
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            entry = [x_norm, x, None]
-            j = _kept_repeat(entry, recent)
-            if j is not None:
-                trace.cycle = (j, k - j)
-                x = recent[j + (n_steps - j) % (k - j)][1]
-                break
-            recent[k] = entry
-            recent.pop(k - REPEAT_WINDOW, None)
             try:
                 xinv, xinv_norm = mat_inv(x, x_norm)
             except SingularMatrixError as err:
@@ -339,6 +304,7 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
                     f"pseudospectrum likely touches the imaginary axis"
                 ) from err
             trace.iterate_norms.append((x_norm, xinv_norm))
+            x_prev, prev_norm = x, x_norm
             x = 0.5 * (x + xinv)
             x_norm = fro_norm(x)
             # fro_norm propagates NaN and Inf, so a finite norm clears every
@@ -346,6 +312,8 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
             if not math.isfinite(x_norm) and not np.isfinite(x).all():
                 raise PreconditionError(
                     f"non-finite entries at iterate {k + 1}")
+            if x_norm == prev_norm and x.tobytes() == x_prev.tobytes():
+                break
     trace.n_steps = len(trace.iterate_norms)
     return x, trace
 

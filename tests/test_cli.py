@@ -217,6 +217,15 @@ def test_lab_zero_trials_exit_1(runner):
     assert "trials must be >= 1" in res.output
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-3"])
+def test_lab_e2e_rejects_n_below_two(runner, n):
+    res = runner.invoke(main, ["lab", "e2e", "--n", n, "--trials", "1"])
+    assert res.exit_code == 1, res.output
+    assert "n must be >= 2" in res.output
+    # the exit comes from the error mapping, not an uncaught exception
+    assert isinstance(res.exception, SystemExit)
+
+
 @pytest.mark.parametrize("theta", ["0", "nan", "2"])
 def test_lab_r22_rejects_theta_outside_unit_interval(runner, theta):
     res = runner.invoke(main, ["lab", "r22", "--n", "4", "--r", "2",

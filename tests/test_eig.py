@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,8 @@ from specbisect.eig import (CONTRACT_RETRY_BUDGET, EigParams, EigResult,
 from specbisect.errors import (DeflationError, EigFailureError,
                                PreconditionError, SpecBisectError,
                                SplitFailureError)
-from specbisect.grids import Grid
-from specbisect.kernels import op_norm
+from specbisect.grids import Grid, eig_pairs
+from specbisect.kernels import UNIT_ROUNDOFF, op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
 from specbisect.shatter import ShatterParams, shatter
 
@@ -146,6 +147,48 @@ def test_median_split_depth_is_logarithmic(kind, n, inputs):
         a, rng = _bench_input(kind, n, i)
         res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n), rng)
         assert res.depth <= math.ceil(math.log2(n)) + 2
+
+
+def _sep(x, lam, v):
+    """sep_j = sigma_min(T22 - lam I), T22 = Q* X Q for Q an orthonormal
+    basis of the complement of the unit eigenvector v of X."""
+    q = scipy.linalg.null_space(v.conj()[np.newaxis, :])
+    t22 = q.conj().T @ x @ q
+    return np.linalg.svd(t22 - lam * np.eye(len(t22)), compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize("kind,n", [("clustered", 24), ("ginibre", 48)])
+@pytest.mark.parametrize("i", range(6))
+def test_backward_recursion_meets_its_inner_guarantee(monkeypatch, kind, n, i):
+    # the outer contract measures the Ginibre perturbation; the recursion's
+    # own guarantee is on the shattered X: each eigenvalue in its true
+    # eigenvalue's square, each unit eigenvector within
+    # delta' = delta^3/(1536 n^2.5) of X's after phase alignment
+    eig_module = importlib.import_module("specbisect.eig")
+    original, certs = eig_module.shatter, []
+
+    def captured(*args, **kwargs):
+        certs.append(original(*args, **kwargs))
+        return certs[-1]
+
+    monkeypatch.setattr(eig_module, "shatter", captured)
+    a, rng = _bench_input(kind, n, i)
+    res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n), rng)
+    x, grid = certs[-1].matrix, certs[-1].grid
+    assert res.grid is grid
+    lam, vr, _ = eig_pairs(x)
+    squares = [grid.square_index(complex(z)) for z in lam]
+    assert None not in squares and len(set(squares)) == n
+    assert sorted(res.square_assignment) == sorted(squares)
+    match = [squares.index(sq) for sq in res.square_assignment]
+    aligned = phase_align(vr[:, match], res.v)
+    delta_p = 0.05**3 / (1536 * n**2.5)
+    assert np.linalg.norm(aligned - res.v, axis=0).max() <= delta_p
+    # LAPACK's vectors are accurate to about u ||X|| / sep_j; that floor
+    # sits well below delta', so the check measures the solver
+    floor = max(UNIT_ROUNDOFF * op_norm(x) / _sep(x, lam[j], vr[:, j])
+                for j in range(n))
+    assert floor <= delta_p / 10
 
 
 def test_determinism(rng):
@@ -326,6 +369,48 @@ def test_eig_backward_finite_or_typed_error(kind, n, seed, delta):
         return
     assert np.isfinite(res.v).all() and np.isfinite(res.d).all()
     assert math.isfinite(res.residual) and math.isfinite(res.kappa_v)
+
+
+def _jordan(n, lam=0.0):
+    return lam * np.eye(n) + np.eye(n, k=1)
+
+
+def _companion(n, c):
+    """Companion matrix of z^n - c."""
+    a = np.eye(n, k=-1).astype(complex)
+    a[0, -1] = c
+    return a
+
+
+#: non-normal, defective and degenerate inputs, (n, Rng) -> matrix
+CONTRACT_FAMILIES = {
+    "jordan": lambda n, r: _jordan(n),
+    "shifted-jordan": lambda n, r: _jordan(n, 0.5),
+    "grcar": lambda n, r: -np.eye(n, k=-1) + sum(np.eye(n, k=j)
+                                                  for j in range(4)),
+    "upper-triangular": lambda n, r: np.triu(sample_ginibre(n, r)),
+    "two-jordan-blocks": lambda n, r: scipy.linalg.block_diag(
+        _jordan(n // 2, 0.5), _jordan(n - n // 2, -0.5)),
+    "companion": lambda n, r: _companion(n, 1e-3),
+    "identity": lambda n, r: np.eye(n),
+    "rank-one": lambda n, r: np.outer(*sample_ginibre(n, r)[:2]),
+}
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+@pytest.mark.parametrize("family", CONTRACT_FAMILIES)
+def test_eig_backward_contract_on_nonnormal_families(family, n):
+    # the contract checked with this test's own arithmetic, as the
+    # benchmark harness checks it, not with the solver's measurement
+    a = np.asarray(CONTRACT_FAMILIES[family](n, Rng(n, (0,))), complex)
+    a = a / np.linalg.norm(a, 2)
+    delta = 0.05
+    res = eig_backward(a, delta, EigParams(delta=delta, theta=1 / n),
+                       Rng(n, (1,)))
+    vinv = np.linalg.inv(res.v)
+    assert np.linalg.norm(a - (res.v * res.d) @ vinv, 2) <= delta
+    kappa = np.linalg.norm(res.v, 2) * np.linalg.norm(vinv, 2)
+    assert kappa <= 32.0 * n**2.5 / delta
 
 
 # --- the contract check of eig_backward -------------------------------------
