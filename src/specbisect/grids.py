@@ -121,6 +121,9 @@ class ShatterCert:
     epsilon: float
     gamma: float
     certified: bool = True
+    #: epsilon lies below shatter._eps_floor, the floor from which every
+    #: node of the recursion runs its sign iteration in doubles (set in
+    #: theoretical mode; an empirical certificate never lies below it)
     below_hardware_precision: bool = False
     #: eigenvalues of matrix from the eigensolve that certified the grid,
     #: one per square (None in theoretical mode); eig_shattered predicts

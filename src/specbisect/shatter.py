@@ -1,16 +1,21 @@
 """Pseudospectral shattering: Ginibre perturbation plus a randomized grid.
 
 Theoretical mode transcribes the provable parameter choices (which drop
-below hardware precision already for small n; the certificate is flagged
-accordingly and not certified). Empirical mode takes eigenvalues and left
-and right eigenvectors from one eigensolve, chooses the square size from
-their gap, randomizes the grid offset, and derives the shattering
-parameter from an analytic lower bound on sigma_min(zI - X) that holds at
-every point of every grid line: the eigenvector expansion of the
-resolvent, corrected for the computed pairs' residual and rounding. The
-bound is evaluated on the <= 4n lines next to the eigenvalues, O(n^3) for
-two matrix products and O(n^2) after, so the certificate is rigorous to
-first order in the unit roundoff and costs no SVD.
+below the floor doubles can resolve already for small n; the certificate
+is flagged accordingly and not certified). Empirical mode takes
+eigenvalues and left and right eigenvectors from one eigensolve, chooses
+the square size from their gap, randomizes the grid offset, and derives
+the shattering parameter from an analytic lower bound on sigma_min(zI - X)
+that holds at every point of every grid line: the eigenvector expansion of
+the resolvent, corrected for the computed pairs' residual and rounding.
+The bound is evaluated on the <= 4n lines next to the eigenvalues, O(n^3)
+for two matrix products and O(n^2) after, so the certificate is rigorous
+to first order in the unit roundoff and costs no SVD.
+
+Both modes compare the shattering parameter with one floor,
+_eps_floor(n, omega), derived from the limits of the arithmetic that uses
+it: from the floor up, every node of the recursion runs its sign
+iteration in doubles.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ from .randmat import Rng, sample_ginibre
 
 #: retries with fresh randomness before empirical mode gives up
 RETRY_BUDGET = 3
-
-#: hard cap on squares per grid side (memory/time guard)
-MAX_SQUARES_PER_SIDE = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,38 @@ def gap_tail_bound(n: int, gamma: float, r: float) -> float:
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     return min(1.0, 42.0 * (n / gamma) ** 3.2 * r**1.2 + 2.0 * math.exp(-2.0 * n))
+
+
+def _eps_floor(n: int, omega: float) -> float:
+    """Floor n u (8 + 2 omega) max(16 + 4 omega, n + 1) on the shattering
+    parameter eps: from it up, every node of the recursion on an n x n
+    matrix, with grid squares of side omega, can run its sign iteration in
+    doubles.
+
+    A node at depth L holds m_L <= n (4/5)^L rows, as split keeps each
+    side at most 4m/5, and eig uses eps_L = eps (4/5)^L there. Its grid
+    lies inside the root grid, whose side is at most 8 + 2 omega and
+    whose diagonal is at most sqrt(2) (8 + 2 omega); its lines lie within
+    4 + 2 omega of 0. Two limits bind:
+      * alpha0 = 1 - eps_L/diag_L^2 must not round to 1, or
+        sgn_params_from_shattering raises PreconditionError, which
+        eig_backward does not retry. A node that splits has m_L >= 2, so
+        (4/5)^L >= 1/n, and eps >= 2 n u (8 + 2 omega)^2 keeps
+        eps_L/diag_L^2 >= u at every depth.
+      * The first sign step inverts X0 = A_L - hI, which must pass
+        mat_inv's test ||X0||_F ||X0^-1||_F < 1/(max(m, 10) u). split
+        enforces ||A_L|| <= 4 and |h| <= 4 + 2 omega, so
+        ||X0|| <= 8 + 2 omega; ||X0^-1|| <= 1/eps_L, as the
+        eps_L-pseudospectrum avoids the line; so the product is at most
+        m (8 + 2 omega)/eps_L. The test passes when
+        eps_L > m max(m, 10) u (8 + 2 omega), which holds at every node
+        once eps >= n (n + 1) u (8 + 2 omega): n + 1, not n, keeps the
+        inequality strict at the root, where m = n.
+    The larger of the two is the floor: about 5e-13 at n = 24, 2e-12 at
+    n = 48 and 6e-11 at n = 256 for small omega.
+    """
+    width = 8.0 + 2.0 * omega
+    return n * UNIT_ROUNDOFF * width * max(2.0 * width, n + 1.0)
 
 
 def _bracketing_lines(centres, origin: float, omega: float,
@@ -156,33 +190,35 @@ def _theoretical_cert(x, n: int, gamma: float, rng: Rng) -> ShatterCert:
     z0 = complex(-4.0 + u[0] * omega, -4.0 + u[1] * omega)
     g = Grid(z0, omega, side, side)
     eps = 0.5 * gamma**5 / (16.0 * n**9)
-    # eps below the accuracy of a double-precision sigma_min evaluation
-    # (~n*u on a unit-norm matrix) cannot be resolved by this arithmetic
-    unresolvable = bool(eps < 10.0 * n * UNIT_ROUNDOFF)
     return ShatterCert(x, g, eps, gamma, certified=False,
-                       below_hardware_precision=unresolvable)
+                       below_hardware_precision=eps < _eps_floor(n, omega))
 
 
 def _empirical_cert(x, gamma: float, rng: Rng) -> ShatterCert | None:
+    """Certificate for X from one eigensolve, squares of a quarter of the
+    eigenvalue gap and a random grid offset drawn from rng, with
+    eps = min(margin/2, 0.999 omega/2); None when the eigensolve fails or
+    eps falls below _eps_floor, checked first for the largest eps the
+    gap allows (so a zero or tiny gap builds no grid) and then for the
+    margin's."""
     n = x.shape[0]
     try:
         lam, v, w = eig_pairs(x)
     except (PreconditionError, np.linalg.LinAlgError):
         return None
-    gap = eigenvalue_gap(lam) if n >= 2 else 8.0
-    if gap <= 0.0:
-        return None
-    omega = gap / 4.0
-    if 8.0 / omega > MAX_SQUARES_PER_SIDE:
+    omega = (eigenvalue_gap(lam) if n >= 2 else 8.0) / 4.0
+    eps_max, floor = 0.999 * omega / 2.0, _eps_floor(n, omega)
+    # a zero or subnormal gap stops here, before 8/omega overflows
+    if not eps_max >= floor:
         return None
     side = math.ceil(8.0 / omega) + 1
     u = rng.uniform(size=2)
     z0 = complex(-4.0 - u[0] * omega, -4.0 - u[1] * omega)
     g = Grid(z0, omega, side, side)
     margin = windowed_line_margin(x, g, lam, v, w)
-    if margin <= 1e-8:
+    eps = min(margin / 2.0, eps_max)
+    if not eps >= floor:  # also on a NaN margin
         return None
-    eps = min(margin / 2.0, 0.999 * omega / 2.0)
     return ShatterCert(x, g, eps, gamma, certified=True, eigenvalues=lam)
 
 
@@ -190,7 +226,11 @@ def shatter(a, p: ShatterParams, rng: Rng) -> ShatterCert:
     """X = A + gamma*G for Ginibre G, plus a grid shattering its spectrum.
 
     Requires ||A|| <= 1. Empirical mode retries with fresh randomness up
-    to RETRY_BUDGET times when the sampled grid fails to certify.
+    to RETRY_BUDGET times when the sampled grid fails to certify (the
+    eigensolve fails, or eps falls below _eps_floor(n, omega), the floor
+    from which the recursion's sign iterations run in doubles), then
+    raises CertificationError. Theoretical mode sets
+    below_hardware_precision when its eps lies below the same floor.
     """
     a = as_cmatrix(a)
     n = a.shape[0]

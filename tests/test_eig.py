@@ -397,20 +397,31 @@ CONTRACT_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("n", [16, 32, 48])
-@pytest.mark.parametrize("family", CONTRACT_FAMILIES)
-def test_eig_backward_contract_on_nonnormal_families(family, n):
-    # the contract checked with this test's own arithmetic, as the
-    # benchmark harness checks it, not with the solver's measurement
-    a = np.asarray(CONTRACT_FAMILIES[family](n, Rng(n, (0,))), complex)
-    a = a / np.linalg.norm(a, 2)
-    delta = 0.05
-    res = eig_backward(a, delta, EigParams(delta=delta, theta=1 / n),
-                       Rng(n, (1,)))
+def _assert_backward_contract(a, delta, rng):
+    """eig_backward's contract, checked with this test's own arithmetic,
+    as the benchmark harness checks it, not with the solver's
+    measurement."""
+    n = a.shape[0]
+    res = eig_backward(a, delta, EigParams(delta=delta, theta=1 / n), rng)
     vinv = np.linalg.inv(res.v)
     assert np.linalg.norm(a - (res.v * res.d) @ vinv, 2) <= delta
     kappa = np.linalg.norm(res.v, 2) * np.linalg.norm(vinv, 2)
     assert kappa <= 32.0 * n**2.5 / delta
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+@pytest.mark.parametrize("family", CONTRACT_FAMILIES)
+def test_eig_backward_contract_on_nonnormal_families(family, n):
+    a = np.asarray(CONTRACT_FAMILIES[family](n, Rng(n, (0,))), complex)
+    _assert_backward_contract(a / np.linalg.norm(a, 2), 0.05, Rng(n, (1,)))
+
+
+def test_eig_backward_contract_on_identity_at_256():
+    # a tight spectrum: X = I + gamma G fills a disc of radius ~gamma, and
+    # its first shattering margin (3.5e-9) lies below the 1e-8 floor once
+    # used, which failed every draw of this solve
+    _assert_backward_contract(np.eye(256, dtype=complex), 0.05,
+                              Rng(1, (256,)))
 
 
 # --- the contract check of eig_backward -------------------------------------

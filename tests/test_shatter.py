@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specbisect.errors import PreconditionError
+from specbisect.errors import CertificationError, PreconditionError
 from specbisect.grids import (Grid, certify_shattered, eig_pairs,
                               kappa_v_upper, min_gap, min_line_sigma)
 from specbisect.kernels import UNIT_ROUNDOFF, op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
+from specbisect.sgn import sgn_params_from_shattering
 from specbisect.shatter import (ShatterParams, gap_tail_bound, shatter,
                                 smoothed_bounds)
 
@@ -42,6 +43,11 @@ def test_theoretical_parameters():
     # corner randomized within the omega square at -4-4i
     assert -4 - omega_want <= cert.grid.x0 <= -4 + omega_want
     assert cert.epsilon <= cert.grid.omega / 2
+    # at n = 2, gamma = 0.4, eps = 0.5 * 0.4^5/(16 * 2^9) lies above the floor
+    cert = shatter(np.zeros((2, 2), dtype=complex),
+                   ShatterParams(gamma=0.4, mode="theoretical"), Rng(5))
+    assert cert.epsilon == pytest.approx(6.25e-7)
+    assert not cert.below_hardware_precision
 
 
 def test_perturbation_size_monte_carlo():
@@ -195,6 +201,46 @@ def test_eigenvalue_on_grid_line_gets_no_certificate():
     assert 0.0 in g.vertical_line_xs()
     assert shatter_mod.windowed_line_margin(x, g, *eig_pairs(x)) <= 0.0
     assert shatter_mod._empirical_cert(x, 0.1, _CornerRng()) is None
+
+
+def test_tiny_and_zero_gaps_build_no_grid():
+    # a subnormal gap would overflow the grid's side count, 8/omega
+    tiny = np.diag([1e-310, 2e-310]).astype(complex)
+    with pytest.raises(CertificationError):
+        shatter(tiny, ShatterParams(gamma=1e-320), Rng(0))
+    for x in (tiny, np.diag([0.5, 0.5, -0.5]).astype(complex)):
+        assert shatter_mod._empirical_cert(x, 0.1, Rng(0)) is None
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 48, 256])
+@pytest.mark.parametrize("omega", [1e-6, 0.5])
+def test_eps_floor_resolves_every_node(n, omega):
+    # a node at depth L has at most n (4/5)^L rows, uses eps (4/5)^L and a
+    # grid of diagonal at most sqrt(2) (8 + 2 omega); its first sign step
+    # inverts a matrix of norm at most 8 + 2 omega
+    eps = shatter_mod._eps_floor(n, omega)
+    width = 8.0 + 2.0 * omega
+    for level in range(math.ceil(math.log(n) / math.log(1.25)) + 1):
+        eps_level = eps * 0.8**level
+        _, alpha0 = sgn_params_from_shattering(eps_level,
+                                               math.sqrt(2.0) * width)
+        assert alpha0 < 1.0
+        m = math.floor(n * 0.8**level)
+        if m >= 2:  # mat_inv's singularity test passes
+            assert m * max(m, 10) * UNIT_ROUNDOFF * width < eps_level
+
+
+def test_empirical_cert_below_the_old_margin_floor():
+    # X = I + gamma G, the first draw of eig_backward(I, 0.05, ...,
+    # Rng(1, (256,))): its margin lies below the 1e-8 floor once used and
+    # far above the derived one
+    n, gamma = 256, 0.05 / 8
+    r = Rng(1, (256,)).child(0).child(0)
+    x = np.eye(n, dtype=complex) + gamma * sample_ginibre(n, r.child(0))
+    cert = shatter_mod._empirical_cert(x, gamma, r.child(1))
+    assert cert is not None and cert.certified
+    margin = shatter_mod.windowed_line_margin(x, cert.grid, *eig_pairs(x))
+    assert cert.epsilon == margin / 2.0 < 5e-9
 
 
 def test_empirical_cert_runs_one_eigensolve(monkeypatch):

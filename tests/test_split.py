@@ -339,3 +339,18 @@ def test_corrupted_prediction_property(evals, moves, drop):
     want = oracle_projector(a, lambda z: (z if orientation == "vertical"
                                           else 1j * z).real > h)
     assert np.linalg.norm(got.p_plus - want, 2) <= beta
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_split_keeps_each_side_at_most_four_fifths(n):
+    # eig's eps floor (shatter._eps_floor) and the depth bound
+    # log_{5/4} n both rest on max(n_plus, n_minus) <= 4n/5 at every n
+    draws = [np.array(CENTRES)[np.argsort(
+        Rng(n, (t,)).uniform(size=len(CENTRES)))[:n]] for t in range(6)]
+    if n <= 8:  # one column, so only a horizontal line can balance
+        draws.append(0.5 + 1j * np.arange(-3.5, 4.0)[:n])
+    for evals in draws:
+        res = split(np.diag(evals), 0.4, UNIT8, 0.05 / n)
+        assert res.n_plus + res.n_minus == n
+        assert 1 <= min(res.n_plus, res.n_minus)
+        assert 5 * max(res.n_plus, res.n_minus) <= 4 * n
