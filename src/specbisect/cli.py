@@ -2,8 +2,8 @@
 
 Every command writes a JSON report (stable key order) and mirrors it to
 stdout. Exit codes: 0 success, 1 contract violation, 2 probabilistic
-failure after retries, 3 I/O or parse error (a command-line usage error
-included).
+failure (eig's after its retries, shatter's on its one draw), 3 I/O or
+parse error (a command-line usage error included).
 """
 
 from __future__ import annotations
@@ -172,7 +172,10 @@ def split_cmd(input_path, eps, beta, z0_re, z0_im, omega, s1, s2):
               help="optional path for the perturbed matrix (.mtx)")
 @_reports
 def shatter_cmd(input_path, gamma, mode, seed, output_matrix):
-    """Perturb and certify a shattering grid for a matrix with norm <= 1."""
+    """Perturb and certify a shattering grid for a matrix with norm <= 1.
+
+    Makes one draw. Exit 2 means that draw failed to certify: rerun with
+    another --seed."""
     a = _load(input_path)
     cert = shatter(a, ShatterParams(gamma=gamma, mode=mode), Rng(seed))
     if output_matrix:

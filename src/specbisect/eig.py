@@ -32,8 +32,9 @@ BACKWARD_ACCURACY_DENOM = 1536
 _BETA_FLOOR = 1e-300
 
 #: shatter-and-solve retries with fresh randomness before eig_backward
-#: gives up on an attempt that fails or misses its backward contract
-CONTRACT_RETRY_BUDGET = 2
+#: gives up: on a draw that fails to certify, a recursion that fails or a
+#: result that misses the backward contract
+RETRY_BUDGET = 11
 
 
 def _check_delta(delta: float) -> None:
@@ -62,8 +63,9 @@ class EigParams:
 class EigResult:
     """V and D of a solve, the residual ||A - V D V^-1|| and kappa(V)
     measured against A, the grid the recursion started from (the
-    shattering grid of eig_backward, None where it solves n = 1 directly)
-    and the recursion depth."""
+    shattering grid of eig_backward, None where it solves n = 1 directly),
+    the recursion depth and the attempts eig_backward used (1 + the
+    retries)."""
 
     v: np.ndarray
     d: np.ndarray
@@ -71,6 +73,7 @@ class EigResult:
     kappa_v: float
     grid: Grid | None
     depth: int
+    attempts: int = 1
 
     @property
     def square_assignment(self) -> list:
@@ -89,6 +92,7 @@ class EigResult:
             "depth": self.depth,
             "square_assignment": [list(s) if s is not None else None
                                   for s in self.square_assignment],
+            "attempts": self.attempts,
         }
 
 
@@ -164,14 +168,24 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
 def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     """Backward-approximate diagonalization of any ||A|| <= 1 matrix.
 
-    Shatters A at gamma = delta/8 and solves the perturbed problem to
-    accuracy delta' = delta^3/(1536 n^2.5). Success contract (probability
-    at least 1 - 1/n - 12/n^2): ||A - V D V^-1|| <= delta and
-    kappa(V) <= 32 n^2.5 / delta, both measured once per attempt against
-    A. An attempt that raises a PROBABILISTIC error or whose result misses
-    the contract runs again with fresh randomness (attempt k draws from
-    rng's children 2k and 2k + 1), up to CONTRACT_RETRY_BUDGET times; then
-    EigFailureError, chained from the last attempt's failure.
+    Shatters A at gamma = delta/8 (one draw per attempt) and solves the
+    perturbed problem to accuracy delta' = delta^3/(1536 n^2.5). Success
+    contract (probability at least 1 - 1/n - 12/n^2 per attempt):
+    ||A - V D V^-1|| <= delta and kappa(V) <= 32 n^2.5 / delta, both
+    measured once per attempt against A. An attempt whose draw fails to
+    certify, that raises another PROBABILISTIC error or whose result
+    misses the contract runs again with fresh randomness (attempt k draws
+    from rng's children 2k and 2k + 1), up to RETRY_BUDGET times; then
+    EigFailureError, chained from the last attempt's failure. The result
+    records the attempts used.
+
+    Attempts draw independently, so under the paper's precision
+    assumption a solve fails with probability at most
+    (1/n + 12/n^2)^(1 + RETRY_BUDGET) = (1/n + 12/n^2)^12. Where delta is
+    so small that no draw's shattering eps reaches the floor doubles
+    resolve (shatter._eps_floor; A = I at n = 96 and delta = 1e-5, for
+    one), every attempt fails for that reason, and the bound does not
+    apply.
     """
     _check_delta(delta)
     a = as_cmatrix(a)
@@ -185,7 +199,7 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n)
     kv_cap = 32.0 * n**2.5 / delta
-    for attempt in range(1 + CONTRACT_RETRY_BUDGET):
+    for attempt in range(1 + RETRY_BUDGET):
         try:
             cert = shatter(a, ShatterParams(gamma=delta / 8.0),
                            rng.child(2 * attempt))
@@ -198,12 +212,12 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
             continue
         residual, kv = _measure(a, v, d)
         if residual <= delta and kv <= kv_cap:  # False on NaN
-            return EigResult(v, d, residual, kv, cert.grid, depth)
+            return EigResult(v, d, residual, kv, cert.grid, depth, attempt + 1)
         failure = EigFailureError(
             f"result missed the backward contract: residual {residual:.3e} "
             f"(delta {delta:g}), kappa_V {kv:.3e} (cap {kv_cap:.3e})")
     raise EigFailureError(
-        f"no attempt succeeded after {CONTRACT_RETRY_BUDGET} retries; "
+        f"no attempt succeeded after {RETRY_BUDGET} retries; "
         f"the last: {failure}") from failure
 
 

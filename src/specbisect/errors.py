@@ -51,7 +51,10 @@ class DeflationError(SpecBisectError):
 
 
 class CertificationError(SpecBisectError):
-    """Shattering certification failed after exhausting retries."""
+    """A grid failed to certify the shattering of a matrix: the one draw
+    of shatter (its eigensolve failed, or its eps fell below the floor
+    the recursion resolves in doubles), or the certify command's
+    brute-force check."""
 
 
 class EigFailureError(SpecBisectError):

@@ -33,9 +33,6 @@ from .grids import kappa_v_upper  # noqa: F401
 from .kernels import sigma_min_shifted_batch  # noqa: F401
 from .randmat import Rng, sample_ginibre
 
-#: retries with fresh randomness before empirical mode gives up
-RETRY_BUDGET = 3
-
 
 @dataclass(frozen=True)
 class ShatterParams:
@@ -194,23 +191,23 @@ def _theoretical_cert(x, n: int, gamma: float, rng: Rng) -> ShatterCert:
                        below_hardware_precision=eps < _eps_floor(n, omega))
 
 
-def _empirical_cert(x, gamma: float, rng: Rng) -> ShatterCert | None:
+def _empirical_cert(x, gamma: float, rng: Rng) -> ShatterCert:
     """Certificate for X from one eigensolve, squares of a quarter of the
     eigenvalue gap and a random grid offset drawn from rng, with
-    eps = min(margin/2, 0.999 omega/2); None when the eigensolve fails or
-    eps falls below _eps_floor, checked first for the largest eps the
-    gap allows (so a zero or tiny gap builds no grid) and then for the
-    margin's."""
+    eps = min(margin/2, 0.999 omega/2). Raises CertificationError, naming
+    the check, when the eigensolve fails or eps falls below _eps_floor,
+    checked first for the largest eps the gap allows (so a zero or tiny
+    gap builds no grid) and then for the margin's."""
     n = x.shape[0]
     try:
         lam, v, w = eig_pairs(x)
-    except (PreconditionError, np.linalg.LinAlgError):
-        return None
+    except (PreconditionError, np.linalg.LinAlgError) as err:
+        raise CertificationError(f"eigensolve failed: {err}") from err
     omega = (eigenvalue_gap(lam) if n >= 2 else 8.0) / 4.0
     eps_max, floor = 0.999 * omega / 2.0, _eps_floor(n, omega)
     # a zero or subnormal gap stops here, before 8/omega overflows
     if not eps_max >= floor:
-        return None
+        raise CertificationError(f"gap eps {eps_max:.2e} < floor {floor:.2e}")
     side = math.ceil(8.0 / omega) + 1
     u = rng.uniform(size=2)
     z0 = complex(-4.0 - u[0] * omega, -4.0 - u[1] * omega)
@@ -218,32 +215,27 @@ def _empirical_cert(x, gamma: float, rng: Rng) -> ShatterCert | None:
     margin = windowed_line_margin(x, g, lam, v, w)
     eps = min(margin / 2.0, eps_max)
     if not eps >= floor:  # also on a NaN margin
-        return None
+        raise CertificationError(f"margin eps {eps:.2e} < floor {floor:.2e}")
     return ShatterCert(x, g, eps, gamma, certified=True, eigenvalues=lam)
 
 
 def shatter(a, p: ShatterParams, rng: Rng) -> ShatterCert:
     """X = A + gamma*G for Ginibre G, plus a grid shattering its spectrum.
 
-    Requires ||A|| <= 1. Empirical mode retries with fresh randomness up
-    to RETRY_BUDGET times when the sampled grid fails to certify (the
-    eigensolve fails, or eps falls below _eps_floor(n, omega), the floor
-    from which the recursion's sign iterations run in doubles), then
-    raises CertificationError. Theoretical mode sets
-    below_hardware_precision when its eps lies below the same floor.
+    Requires ||A|| <= 1. Makes one draw: G from rng.child(0).child(0) and
+    the grid offset from rng.child(0).child(1). Empirical mode raises
+    CertificationError when that draw fails to certify (the eigensolve
+    fails, or eps falls below _eps_floor(n, omega), the floor from which
+    the recursion's sign iterations run in doubles); eig_backward is the
+    caller that redraws. Theoretical mode sets below_hardware_precision
+    when its eps lies below the same floor.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
     if op_norm(a) > 1.0 + 1e-12:
         raise PreconditionError("shatter requires ||A|| <= 1")
-
-    for attempt in range(1 + RETRY_BUDGET):
-        r = rng.child(attempt)
-        x = a + p.gamma * sample_ginibre(n, r.child(0))
-        if p.mode == "theoretical":
-            return _theoretical_cert(x, n, p.gamma, r.child(1))
-        cert = _empirical_cert(x, p.gamma, r.child(1))
-        if cert is not None:
-            return cert
-    raise CertificationError(
-        f"empirical shattering failed after {1 + RETRY_BUDGET} attempts")
+    r = rng.child(0)
+    x = a + p.gamma * sample_ginibre(n, r.child(0))
+    if p.mode == "theoretical":
+        return _theoretical_cert(x, n, p.gamma, r.child(1))
+    return _empirical_cert(x, p.gamma, r.child(1))

@@ -34,7 +34,7 @@ def test_eig_command(tmp_path, runner, rng):
     report = json.loads(out.read_text())
     assert len(report["eigenvalues"]) == 4
     assert report["residual"] <= 0.1
-    assert report["seed"] == 7
+    assert report["seed"] == 7 and report["attempts"] == 1
     # stdout mirrors the file
     assert json.loads(res.output) == report
     # same seed, same report
@@ -114,6 +114,16 @@ def test_shatter_then_certify(tmp_path, runner):
         "--omega", str(g["omega"]), "--s1", str(g["s1"]), "--s2", str(g["s2"]),
         "--mesh-per-segment", "8"])
     assert res2.exit_code == 0, res2.output
+
+
+def test_shatter_failed_draw_exit_2(tmp_path, runner):
+    # a double eigenvalue barely perturbed: the one draw's gap lies far
+    # below the floor on eps, and shatter does not redraw
+    path = _write(tmp_path, "d.mtx", np.diag([0.5, 0.5, -0.5]))
+    res = runner.invoke(main, ["shatter", "--input", path,
+                               "--gamma", "1e-300"])
+    assert res.exit_code == 2
+    assert "floor" in res.output
 
 
 def test_certify_failure_exit_2(tmp_path, runner):

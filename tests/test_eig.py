@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import phase_align
-from specbisect.eig import (CONTRACT_RETRY_BUDGET, EigParams, EigResult,
+from specbisect.eig import (RETRY_BUDGET, EigParams, EigResult,
                             eig_backward, eig_forward, eig_iteration_budget,
                             eig_precision_requirement, eig_shattered,
                             kappa_eig_measure)
-from specbisect.errors import (DeflationError, EigFailureError,
-                               PreconditionError, SpecBisectError,
-                               SplitFailureError)
+from specbisect.errors import (CertificationError, DeflationError,
+                               EigFailureError, PreconditionError,
+                               SpecBisectError, SplitFailureError)
 from specbisect.grids import Grid, eig_pairs
 from specbisect.kernels import UNIT_ROUNDOFF, op_norm
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
@@ -449,7 +449,7 @@ def test_contract_miss_retries_with_fresh_randomness(monkeypatch, rng):
     first = eig_backward(a, 0.05, params, rng.child(5))
     vs = _misses(monkeypatch, 1)
     res = eig_backward(a, 0.05, params, rng.child(5))
-    assert len(vs) == 2
+    assert len(vs) == 2 and (first.attempts, res.attempts) == (1, 2)
     assert np.array_equal(vs[0], first.v)  # attempt 0 keeps its paths
     assert res.v is vs[1] and not np.array_equal(res.v, first.v)
     assert res.residual <= 0.05 and res.kappa_v <= 32 * n**2.5 / 0.05
@@ -462,7 +462,7 @@ def test_contract_miss_after_the_budget_raises(monkeypatch, rng):
     with pytest.raises(EigFailureError, match="backward contract"):
         eig_backward(g / op_norm(g), 0.05, EigParams(delta=0.05, theta=0.2),
                      rng.child(5))
-    assert len(vs) == 1 + CONTRACT_RETRY_BUDGET
+    assert len(vs) == 1 + RETRY_BUDGET
 
 
 def _raise_on(monkeypatch, name, error, hit, times):
@@ -481,9 +481,11 @@ def _raise_on(monkeypatch, name, error, hit, times):
     return raised
 
 
-#: (eig's name to fail, the error, which calls fail): the root split, and
-#: a deflation at a 2 x 2 node, the deepest level every recursion reaches
+#: (eig's name to fail, the error, which calls fail): the shattering
+#: draw, the root split, and a deflation at a 2 x 2 node, the deepest
+#: level every recursion reaches
 PLANTED = {
+    "shatter": ("shatter", CertificationError, lambda *args: True),
     "split": ("split", SplitFailureError, lambda *args: True),
     "deflate": ("deflate", DeflationError,
                 lambda p, *args: p.shape[0] == 2),
@@ -500,7 +502,7 @@ def test_probabilistic_failure_retries_with_fresh_randomness(
     raised = _raise_on(monkeypatch, name, error, hit, times=1)
     shatters = _count_calls(monkeypatch, "specbisect.eig", "shatter")
     res = eig_backward(a, 0.05, params, rng.child(5))
-    assert len(raised) == 1 and len(shatters) == 2
+    assert len(raised) == 1 and len(shatters) == 2 and res.attempts == 2
     assert res.residual <= 0.05 and res.kappa_v <= 32 * n**2.5 / 0.05
 
 
@@ -514,8 +516,22 @@ def test_probabilistic_failure_after_the_budget_raises(
     with pytest.raises(EigFailureError) as info:
         eig_backward(g / op_norm(g), 0.05, EigParams(delta=0.05, theta=0.2),
                      rng.child(5))
-    assert len(raised) == len(shatters) == 1 + CONTRACT_RETRY_BUDGET
+    assert len(raised) == len(shatters) == 1 + RETRY_BUDGET
     assert info.value.__cause__ is raised[-1]
+
+
+def test_precision_frontier_fails_after_every_draw(monkeypatch):
+    # delta = 1e-5 puts A = I at n = 96 below the doubles frontier: no
+    # draw's shattering eps reaches the floor, so every attempt fails to
+    # certify and eig_backward alone redraws
+    n = 96
+    certs = _count_calls(monkeypatch, "specbisect.shatter", "_empirical_cert")
+    with pytest.raises(EigFailureError) as info:
+        eig_backward(np.eye(n, dtype=complex), 1e-5,
+                     EigParams(delta=1e-5, theta=1 / n), Rng(0, (1, n)))
+    assert len(certs) == 1 + RETRY_BUDGET
+    cause = info.value.__cause__
+    assert isinstance(cause, CertificationError) and "floor" in str(cause)
 
 
 # --- EigResult: what a result holds and what it derives ---------------------
@@ -576,7 +592,7 @@ def test_result_json_construction_and_pickle():
     d = np.array([0.5 + 0.5j, -1.5 - 2.5j, 9.0 + 0j])
     res = EigResult(v, d, 1e-9, 1.5, UNIT8, 2)  # six positional values
     assert (res.v is v, res.d is d, res.residual, res.kappa_v, res.grid,
-            res.depth) == (True, True, 1e-9, 1.5, UNIT8, 2)
+            res.depth, res.attempts) == (True, True, 1e-9, 1.5, UNIT8, 2, 1)
     assert res.square_assignment == [(4, 4), (2, 1), None]
     assert json.dumps(res.to_json()) == json.dumps({
         "eigenvalues": [[0.5, 0.5], [-1.5, -2.5], [9.0, 0.0]],
@@ -584,12 +600,13 @@ def test_result_json_construction_and_pickle():
         "kappa_v": 1.5,
         "depth": 2,
         "square_assignment": [[4, 4], [2, 1], None],
+        "attempts": 1,
     })
     assert not hasattr(res, "__dict__")
     back = pickle.loads(pickle.dumps(res))
     assert np.array_equal(back.v, v) and np.array_equal(back.d, d)
-    assert (back.residual, back.kappa_v, back.grid, back.depth) == \
-        (1e-9, 1.5, UNIT8, 2)
+    assert (back.residual, back.kappa_v, back.grid, back.depth,
+            back.attempts) == (1e-9, 1.5, UNIT8, 2, 1)
     assert back.to_json() == res.to_json()
 
 

@@ -1,9 +1,12 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from specbisect.eig import RETRY_BUDGET
+from specbisect.errors import EigFailureError
 from specbisect.kernels import op_norm
 from specbisect.lab import (binomial_sigma, ks_distance, run_e2e_experiment,
                             run_gap_experiment, run_haar_sigma_experiment,
@@ -75,6 +78,31 @@ def test_e2e_experiment_passes():
     assert rep.statistic["max_depth"] <= rep.statistic["depth_cap"]
     assert rep.statistic["exception_count"] == 0
     assert rep.statistic["median_residual"] <= 0.1
+    assert rep.statistic["attempt_failure_frequency"] <= \
+        rep.statistic["attempt_failure_bound"] == 1 / 8 + 12 / 64
+
+
+def test_e2e_experiment_counts_attempts(monkeypatch):
+    # trial 0 fails after every retry, trial 1 succeeds on its third
+    # attempt and trials 2 and 3 on their first
+    lab_mod = importlib.import_module("specbisect.lab")
+    original, calls = lab_mod.eig_backward, []
+
+    def solve(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise EigFailureError("planted failure")
+        res = original(*args)
+        res.attempts = 3 if len(calls) == 2 else 1
+        return res
+
+    monkeypatch.setattr(lab_mod, "eig_backward", solve)
+    stat = run_e2e_experiment(4, 0.1, 4, Rng(27)).statistic
+    total = (1 + RETRY_BUDGET) + 3 + 1 + 1
+    assert stat["exception_count"] == 1
+    assert stat["mean_attempts"] == total / 4
+    # the failed solve's attempts and trial 1's first two all failed
+    assert stat["attempt_failure_frequency"] == (total - 3) / total
 
 
 @pytest.mark.parametrize("run", [

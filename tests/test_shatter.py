@@ -200,7 +200,8 @@ def test_eigenvalue_on_grid_line_gets_no_certificate():
     g = Grid(complex(-4.0, -4.0), 0.125, 65, 65)
     assert 0.0 in g.vertical_line_xs()
     assert shatter_mod.windowed_line_margin(x, g, *eig_pairs(x)) <= 0.0
-    assert shatter_mod._empirical_cert(x, 0.1, _CornerRng()) is None
+    with pytest.raises(CertificationError, match="margin eps .* < floor"):
+        shatter_mod._empirical_cert(x, 0.1, _CornerRng())
 
 
 def test_tiny_and_zero_gaps_build_no_grid():
@@ -209,7 +210,41 @@ def test_tiny_and_zero_gaps_build_no_grid():
     with pytest.raises(CertificationError):
         shatter(tiny, ShatterParams(gamma=1e-320), Rng(0))
     for x in (tiny, np.diag([0.5, 0.5, -0.5]).astype(complex)):
-        assert shatter_mod._empirical_cert(x, 0.1, Rng(0)) is None
+        with pytest.raises(CertificationError, match="gap eps .* < floor"):
+            shatter_mod._empirical_cert(x, 0.1, Rng(0))
+
+
+def _counted(monkeypatch, name) -> list:
+    """A list that grows by one on each call of shatter's name."""
+    original, calls = getattr(shatter_mod, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(shatter_mod, name, counted)
+    return calls
+
+
+def test_shatter_makes_one_draw(monkeypatch):
+    # a subnormal gap fails every draw; eig_backward, not shatter, redraws
+    draws = _counted(monkeypatch, "sample_ginibre")
+    certs = _counted(monkeypatch, "_empirical_cert")
+    tiny = np.diag([1e-310, 2e-310]).astype(complex)
+    with pytest.raises(CertificationError, match="floor"):
+        shatter(tiny, ShatterParams(gamma=1e-320), Rng(0))
+    assert len(draws) == len(certs) == 1
+
+
+def test_shatter_keeps_the_first_draws_paths():
+    # the draw that was attempt 0 of the retry loop once shatter had one
+    a = np.diag([0.5, -0.5, 0.5j, -0.5j]).astype(complex)
+    rng = Rng(4)
+    cert = shatter(a, ShatterParams(gamma=0.05), rng)
+    r = rng.child(0)
+    x = a + 0.05 * sample_ginibre(4, r.child(0))
+    assert np.array_equal(cert.matrix, x)
+    assert cert.grid == shatter_mod._empirical_cert(x, 0.05, r.child(1)).grid
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 48, 256])
@@ -238,7 +273,7 @@ def test_empirical_cert_below_the_old_margin_floor():
     r = Rng(1, (256,)).child(0).child(0)
     x = np.eye(n, dtype=complex) + gamma * sample_ginibre(n, r.child(0))
     cert = shatter_mod._empirical_cert(x, gamma, r.child(1))
-    assert cert is not None and cert.certified
+    assert cert.certified
     margin = shatter_mod.windowed_line_margin(x, cert.grid, *eig_pairs(x))
     assert cert.epsilon == margin / 2.0 < 5e-9
 
