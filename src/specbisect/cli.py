@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every command writes a JSON report (stable key order) and mirrors it to
-stdout. Exit codes: 0 success, 1 contract violation, 2 probabilistic
-failure (eig's after its retries, shatter's on its one draw), 3 I/O or
-parse error (a command-line usage error included).
+stdout. Exit codes: 0 success, 1 contract violation (certify's failed
+check included: it is deterministic), 2 probabilistic failure (eig's
+after its retries, shatter's on its one draw), 3 I/O or parse error (a
+command-line usage error included).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from . import calc as calcmod
 from . import lab as labmod
 from .eig import (EigParams, eig_backward, eig_precision_requirement,
                   eig_iteration_budget)
-from .errors import (PROBABILISTIC, CertificationError, PreconditionError,
-                     SpecBisectError)
+from .errors import PROBABILISTIC, PreconditionError, SpecBisectError
 from .grids import Grid, certify_shattered
 from .mmio import read_matrix, write_matrix
 from .randmat import Rng
@@ -191,7 +191,10 @@ def shatter_cmd(input_path, gamma, mode, seed, output_matrix):
 @click.option("--output", type=str, default=None)
 def certify_cmd(input_path, eps, z0_re, z0_im, omega, s1, s2,
                 mesh_per_segment, output):
-    """Brute-force shattering check of a matrix against a grid."""
+    """Brute-force shattering check of a matrix against a grid.
+
+    Prints the report, then exits 1 when the check fails: it draws no
+    randomness, so a rerun fails the same way."""
     a = _load(input_path)
 
     def body():
@@ -206,7 +209,7 @@ def certify_cmd(input_path, eps, z0_re, z0_im, omega, s1, s2,
         }
         _emit(report, output)
         if not res.ok:
-            raise CertificationError(res.violation or "not shattered")
+            raise PreconditionError(f"not shattered: {res.violation}")
 
     _run(body)
 

@@ -122,9 +122,10 @@ def _eig_node(a: np.ndarray, delta: float, g: Grid, eps: float,
 
     sr = split(a, eps, g, beta, eigenvalues=eigenvalues)
 
+    # one generator per node: both deflations draw from r's stream in turn
     r = rng.child(0)
-    q_plus = deflate(sr.p_plus, sr.n_plus, beta, r.child(0))
-    q_minus = deflate(sr.p_minus, sr.n_minus, beta, r.child(1))
+    q_plus = deflate(sr.p_plus, sr.n_plus, beta, r)
+    q_minus = deflate(sr.p_minus, sr.n_minus, beta, r)
 
     a_plus = q_plus.conj().T @ a @ q_plus
     a_minus = q_minus.conj().T @ a @ q_minus

@@ -51,10 +51,11 @@ class DeflationError(SpecBisectError):
 
 
 class CertificationError(SpecBisectError):
-    """A grid failed to certify the shattering of a matrix: the one draw
-    of shatter (its eigensolve failed, or its eps fell below the floor
-    the recursion resolves in doubles), or the certify command's
-    brute-force check."""
+    """The one draw of shatter failed to certify a shattering grid: its
+    eigensolve failed, or its eps fell below the floor the recursion
+    resolves in doubles. A fresh draw may certify. The certify command's
+    brute-force check draws nothing, so its failure is a
+    PreconditionError instead."""
 
 
 class EigFailureError(SpecBisectError):

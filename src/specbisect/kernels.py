@@ -15,7 +15,8 @@ zgesv (a partial-pivot LU, zgetrf, then the triangular solves, zgetrs,
 against the identity); numpy exposes no LU factors, so mat_inv judges
 singularity from the Frobenius norms of the matrix and its inverse, and a
 Newton sign step costs one factorization and one gufunc call. QR is
-numpy's two qr gufuncs (zgeqrf in place, then zungqr), the operator norm
+numpy's two qr gufuncs (zgeqrf in place, then zungqr), with a Q-only
+path (qr_q) for the callers that discard R, the operator norm
 numpy's svd gufunc without vectors (zgesdd), and the Frobenius norm one BLAS
 inner product: on the small blocks deep in the recursion the wrappers,
 not LAPACK, would otherwise set the cost, so the hot kernels skip the
@@ -182,6 +183,33 @@ def _below_diagonal(k: int, n: int) -> np.ndarray:
     return below
 
 
+def _householder(a) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+    """(Q, geqrf's factored array, diagonal phases, |diag R|) of a, Q
+    phase-fixed: the Q-only path of qr_factor, which builds R from the
+    other three."""
+    qr = np.array(a, dtype=np.complex128)  # geqrf overwrites it
+    m, n = qr.shape
+    k = min(m, n)
+    if k == 0:  # LAPACK rejects an empty matrix
+        empty = np.empty(0, np.complex128)
+        return np.empty((m, 0), np.complex128), qr, empty, empty.real
+    tau = _umath_linalg.qr_r_raw(qr, signature="D->D")
+    d = qr.diagonal()
+    absd = np.abs(d)
+    ph = np.divide(d, absd, out=np.ones(k, np.complex128), where=absd > 0.0)
+    q = np.empty((m, k), np.complex128, order="F")
+    _umath_linalg.qr_reduced(qr, tau, signature="DD->D", out=q)
+    q *= ph
+    return q, qr, ph, absd
+
+
+def qr_q(a) -> np.ndarray:
+    """The Q factor of qr_factor(a), bit for bit and stride for stride,
+    without building R: for callers that discard R."""
+    return _householder(a)[0]
+
+
 def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
     """Householder QR with the nonnegative-real-diagonal sign convention.
 
@@ -195,25 +223,15 @@ def qr_factor(a) -> tuple[np.ndarray, np.ndarray]:
     and Q is written into a Fortran-ordered array, the layout scipy
     returns. The phase fix scales R's rows and Q's columns once each: (Q,
     R) are, bit for bit and stride for stride, those of
-    scipy.linalg.qr(mode="economic") with the phase fix applied.
+    scipy.linalg.qr(mode="economic") with the phase fix applied. Q comes
+    from qr_q's path, and R is built on top of it.
     """
-    qr = np.array(a, dtype=np.complex128)  # geqrf overwrites it
-    m, n = qr.shape
-    k = min(m, n)
-    if k == 0:  # LAPACK rejects an empty matrix
-        return (np.empty((m, 0), np.complex128),
-                np.empty((0, n), np.complex128))
-    tau = _umath_linalg.qr_r_raw(qr, signature="D->D")
-    d = qr.diagonal()
-    absd = np.abs(d)
-    ph = np.divide(d, absd, out=np.ones(k, np.complex128), where=absd > 0.0)
+    q, qr, ph, absd = _householder(a)
+    k, n = ph.size, qr.shape[1]
     r = np.empty((k, n), np.complex128)
     np.multiply(np.conj(ph)[:, np.newaxis], qr[:k], out=r)
     r[_below_diagonal(k, n)] = 0.0  # the product holds scaled reflectors
     r.flat[::n + 1] = absd
-    q = np.empty((m, k), np.complex128, order="F")
-    _umath_linalg.qr_reduced(qr, tau, signature="DD->D", out=q)
-    q *= ph
     return q, r
 
 

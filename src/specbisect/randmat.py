@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .kernels import qr_factor
+from .kernels import qr_q
 
 
 class Rng:
@@ -48,18 +48,19 @@ class Rng:
         return f"Rng(seed={self.seed}, path={self.path})"
 
 
-def sample_ginibre(n: int, rng: Rng) -> np.ndarray:
-    """n x n complex Ginibre matrix with E|G_ij|^2 = 1/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    parts = rng.standard_normal((2, n, n))
+def sample_ginibre(n: int, rng: Rng, cols: int | None = None) -> np.ndarray:
+    """n x cols complex Ginibre matrix with E|G_ij|^2 = 1/n (cols
+    defaults to n)."""
+    cols = n if cols is None else cols
+    if n < 1 or cols < 1:
+        raise ValueError("n and cols must be >= 1")
+    parts = rng.standard_normal((2, n, cols))
     return (parts[0] + 1j * parts[1]) / math.sqrt(2.0 * n)
 
 
 def sample_haar_unitary(n: int, rng: Rng) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a Ginibre matrix."""
-    q, _ = qr_factor(sample_ginibre(n, rng))
-    return q
+    return qr_q(sample_ginibre(n, rng))
 
 
 def haar_corner_sigma_min_cdf(n: int, r: int, theta: float) -> float:

@@ -280,8 +280,10 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     equals it too and X_N = X_{k+1}: sgn returns it without running the
     remaining steps, which would have inverted and checked only that
     iterate again. The bytes, which unlike == tell -0.0 from 0.0, are
-    compared only when the two norms are equal. The result is always a
-    computed iterate, never the caller's array.
+    compared only when the two norms are equal. Each step writes X_{k+1}
+    into the fresh inverse mat_inv returned, so sgn allocates no n x n
+    array beyond that inverse and never writes into the caller's; the
+    result is always a computed iterate, never the caller's array.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -305,7 +307,11 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
                 ) from err
             trace.iterate_norms.append((x_norm, xinv_norm))
             x_prev, prev_norm = x, x_norm
-            x = 0.5 * (x + xinv)
+            # X_{k+1} = 0.5 (X_k + X_k^-1), bit for bit, written into the
+            # fresh inverse: IEEE addition commutes
+            xinv += x
+            xinv *= 0.5
+            x = xinv
             x_norm = fro_norm(x)
             # fro_norm propagates NaN and Inf, so a finite norm clears every
             # entry; an infinite one may still be an overflow of the norm

@@ -126,11 +126,13 @@ def test_shatter_failed_draw_exit_2(tmp_path, runner):
     assert "floor" in res.output
 
 
-def test_certify_failure_exit_2(tmp_path, runner):
+def test_certify_failure_exit_1(tmp_path, runner):
+    # the check draws nothing, so its failure is not a retry-with-a-seed 2
     path = _write(tmp_path, "bad.mtx", np.diag([0.2 + 0.2j, 0.3 + 0.3j]))
     res = runner.invoke(main, ["certify", "--input", path, "--eps", "0.4"]
                         + GRID8)
-    assert res.exit_code == 2
+    assert res.exit_code == 1
+    assert '"ok": false' in res.output  # the report still comes first
 
 
 def test_calc_n_formula(runner):

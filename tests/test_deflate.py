@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_projector, subspace_distance
-from specbisect.deflate import RurvResult, deflate, rurv
+from specbisect.deflate import deflate, rurv
 from specbisect.errors import DeflationError, PreconditionError
-from specbisect.kernels import UNIT_ROUNDOFF, fro_norm, op_norm
+from specbisect.kernels import UNIT_ROUNDOFF, fro_norm, op_norm, qr_q
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
 
 # the package's `deflate` export is the function; the module is needed here
@@ -84,6 +84,46 @@ def test_deflate_oblique_projector_subspace(rng):
     assert fail <= 2  # >= 99% success
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 24, 48])
+def test_range_finder_matches_rurv_leading_columns(n):
+    # deflate's range finder against the RURV it replaces: with the Haar V
+    # that rurv draws, Q(P~ V*[:, :k]) is rurv(P~).u[:, :k] up to rounding,
+    # within c n u in the 2-norm, c = 10 as in deflate's orthonormality
+    # check, on exact and beta-perturbed oblique and orthogonal projectors
+    tol = 10 * n * UNIT_ROUNDOFF
+    for k in sorted({1, n // 2, n - 1}):
+        for t in range(5):
+            r = Rng(n, (k, t))
+            g = r.child(0).standard_normal((2, n, n))
+            v = g[0] + 1j * g[1]
+            w = sample_haar_unitary(n, r.child(1))
+            e = sample_ginibre(n, r.child(2))
+            for p in (v[:, :k] @ np.linalg.inv(v)[:k, :],
+                      w[:, :k] @ w[:, :k].conj().T):
+                for beta in (0.0, 1e-3):
+                    p_tilde = p + beta / op_norm(e) * e
+                    slow = rurv(p_tilde, r.child(3)).u[:, :k]
+                    vh = qr_q(sample_ginibre(n, r.child(3))).conj().T
+                    fast = qr_q(p_tilde @ vh[:, :k])
+                    assert op_norm(fast - slow) <= tol, (k, t, beta)
+
+
+def test_deflate_draws_one_n_by_k_ginibre(monkeypatch):
+    draws = []
+    original = deflate_module.sample_ginibre
+
+    def recorded(*args):
+        draws.append(original(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(deflate_module, "sample_ginibre", recorded)
+    p = np.diag([1.0, 1.0, 1.0, 0.0, 0.0]).astype(complex)
+    q = deflate(p, 3, 1e-8, Rng(4))
+    assert [d.shape for d in draws] == [(5, 3)]
+    # the basis is Q(P Q(G)) for that draw, bit for bit
+    assert np.array_equal(q, qr_q(p @ qr_q(draws[0])))
+
+
 def test_deflate_validation():
     p = np.eye(3, dtype=complex)
     with pytest.raises(PreconditionError):
@@ -95,12 +135,12 @@ def test_deflate_validation():
 
 
 def _planted_basis(monkeypatch, n, k, ratio):
-    """Make deflate's RURV return I[:, :k] with two columns stretched so
-    that ||Q*Q - I||_2 = ratio 10 n u < ||Q*Q - I||_F; returns Q*Q - I."""
+    """Make deflate's QRs return I[:, :cols] with two columns stretched, so
+    that its basis has ||Q*Q - I||_2 = ratio 10 n u < ||Q*Q - I||_F;
+    returns Q*Q - I."""
     u = np.eye(n, dtype=np.complex128)
     u[:, :2] *= math.sqrt(1.0 + ratio * 10 * n * UNIT_ROUNDOFF)
-    monkeypatch.setattr(deflate_module, "rurv",
-                        lambda a, rng: RurvResult(u, None, None))
+    monkeypatch.setattr(deflate_module, "qr_q", lambda a: u[:, :a.shape[1]])
     q = u[:, :k]
     return q.conj().T @ q - np.eye(k)
 
@@ -145,7 +185,7 @@ def test_deflate_check_skips_svd_when_frobenius_clears(monkeypatch):
 
 
 def test_deflate_runs_the_matrix_gate_once(monkeypatch):
-    # rurv validates the projector; deflate does not validate it again
+    # deflate validates the projector itself, once per call
     gates = _calls(monkeypatch, "as_cmatrix")
     p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
     for t in range(3):

@@ -191,6 +191,32 @@ def test_backward_recursion_meets_its_inner_guarantee(monkeypatch, kind, n, i):
     assert floor <= delta_p / 10
 
 
+def test_one_generator_per_node_serves_both_deflations(monkeypatch):
+    # each node hands one Rng to its two deflations: q_plus draws first and
+    # q_minus continues the same stream, so the two samples differ
+    deflate_module = importlib.import_module("specbisect.deflate")
+    original, draws = deflate_module.sample_ginibre, []
+
+    def recorded(n, rng, cols):
+        draws.append((rng, original(n, rng, cols)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(deflate_module, "sample_ginibre", recorded)
+    a, rng = _bench_input("ginibre", 8, 0)
+    res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / 8), rng)
+    assert res.attempts == 1 and len(draws) == 2 * (8 - 1)
+    paths = set()
+    for (r_plus, g_plus), (r_minus, g_minus) in zip(draws[::2], draws[1::2]):
+        assert r_plus is r_minus and r_plus.path[-1] == 0
+        paths.add(r_plus.path)
+        # the first draw is the head of the node's stream, the second is not
+        n, cols = g_plus.shape
+        fresh = original(n, Rng(r_plus.seed, r_plus.path), cols)
+        assert np.array_equal(g_plus, fresh)
+        assert not np.isin(g_minus, g_plus).any()
+    assert len(paths) == 8 - 1
+
+
 def test_determinism(rng):
     g = sample_ginibre(6, rng)
     a = g / op_norm(g)

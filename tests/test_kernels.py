@@ -14,7 +14,7 @@ from specbisect.grids import Grid, min_line_sigma
 from specbisect.kernels import (C_INV, MU_INV, MU_MM, MU_QR, PIVOT_FLOOR,
                                 SHIFT_CHUNK, UNIT_ROUNDOFF, as_cmatrix,
                                 fro_norm, lu_pivot_extremes, mat_inv, op_norm,
-                                normalize_columns, qr_factor,
+                                normalize_columns, qr_factor, qr_q,
                                 sigma_min_argmin, sigma_min_shifted_batch,
                                 trace)
 from specbisect.randmat import Rng, sample_ginibre
@@ -220,8 +220,9 @@ QR_INPUTS = {
 
 @pytest.mark.parametrize("make", QR_INPUTS.values(), ids=QR_INPUTS.keys())
 def test_qr_factor_equals_scipy_qr_bit_for_bit(make):
-    # sample_haar_unitary, and through it the benchmark's clustered inputs,
-    # and both QRs of every rurv are these bytes
+    # qr_q's Q is these bytes (below), so sample_haar_unitary, and through
+    # it the benchmark's clustered inputs, and both QRs of every rurv and
+    # every deflate are these bytes too
     a = np.asarray(make(), dtype=np.complex128)
     q_want, r_want = _qr_oracle(a)
     q, r = qr_factor(a)
@@ -231,6 +232,24 @@ def test_qr_factor_equals_scipy_qr_bit_for_bit(make):
     below = r[np.tri(*r.shape, -1, dtype=bool)]
     assert not np.signbit(below.real).any()
     assert not np.signbit(below.imag).any()
+
+
+QR_Q_INPUTS = {
+    **QR_INPUTS,
+    "column-9x1": lambda: sample_ginibre(9, Rng(9))[:, :1],
+    "tall-48x24": lambda: sample_ginibre(48, Rng(24))[:, :24],
+    "zero-columns-5x0": lambda: np.zeros((5, 0)),
+    "zero-rows-0x3": lambda: np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("make", QR_Q_INPUTS.values(), ids=QR_Q_INPUTS.keys())
+def test_qr_q_is_qr_factor_q_bit_for_bit(make):
+    a = np.asarray(make(), dtype=np.complex128)
+    q = qr_q(a)
+    q_want, _ = qr_factor(a)
+    assert q.shape == q_want.shape and q.strides == q_want.strides
+    assert q.tobytes() == q_want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])

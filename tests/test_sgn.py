@@ -355,6 +355,24 @@ def test_sgn_repeat_shortcut_equals_full_loop(kind):
         assert _same_bits(xs[-1], xs[-5]) == (kind == "cycle")
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("kind", ["shifted-ginibre", "fixed-point-step-1"])
+def test_sgn_never_writes_into_its_input(n, kind):
+    # each step writes the next iterate into the inverse mat_inv returned;
+    # the caller's complex128 array, which the gate passes through as it
+    # is, stays X_0 and is never the result
+    if kind == "shifted-ginibre":
+        a = _shifted_ginibre(n)
+    else:  # X_1 = (X_0 + X_0^-1)/2 = X_0: the run stops after one step
+        a = np.diag([1.0, -1.0] * (n // 2) + [1.0] * (n % 2)).astype(complex)
+    before = a.tobytes()
+    s, trace = sgn(a, FAST_PATH_PARAMS)
+    assert a.tobytes() == before
+    assert not np.shares_memory(s, a)
+    if kind == "fixed-point-step-1":
+        assert trace.n_steps == 1 and _same_bits(s, a)
+
+
 def test_sgn_repeat_needs_equal_bits(monkeypatch):
     # with every norm equal, only the bitwise check keeps sgn from stopping
     # at an iterate that is not a fixed point
