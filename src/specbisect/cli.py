@@ -4,7 +4,8 @@ Every command writes a JSON report (stable key order) and mirrors it to
 stdout. Exit codes: 0 success, 1 contract violation (certify's failed
 check included: it is deterministic), 2 probabilistic failure (eig's
 after its retries, shatter's on its one draw), 3 I/O or parse error (a
-command-line usage error included).
+failed write of a report or matrix and a command-line usage error
+included).
 """
 
 from __future__ import annotations
@@ -36,20 +37,33 @@ EXIT_PROBABILISTIC = 2
 EXIT_IO = 3
 
 
+@contextlib.contextmanager
+def _io_exit(action: str, path: str, errors=(OSError,)):
+    """Exit EXIT_IO with one line naming path when the body raises one of
+    errors."""
+    try:
+        yield
+    except errors as err:
+        click.echo(f"error {action} {path}: {err}", err=True)
+        sys.exit(EXIT_IO)
+
+
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2, default=float)
     if output:
-        with open(output, "w") as fh:
+        with _io_exit("writing", output), open(output, "w") as fh:
             fh.write(text + "\n")
     click.echo(text)
 
 
 def _load(path: str) -> np.ndarray:
-    try:
+    with _io_exit("reading", path, (OSError, ValueError)):
         return read_matrix(path)
-    except (OSError, ValueError) as err:
-        click.echo(f"error reading {path}: {err}", err=True)
-        sys.exit(EXIT_IO)
+
+
+def _save(path: str, a: np.ndarray) -> None:
+    with _io_exit("writing", path):
+        write_matrix(path, a)
 
 
 def _run(body) -> None:
@@ -117,7 +131,8 @@ def main():
 @click.option("--input", "input_path", required=True, type=str)
 @click.option("--delta", type=float, default=0.05, show_default=True)
 @click.option("--theta", type=float, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--output", type=str, default=None)
 @_reports
 def eig(input_path, delta, theta, seed):
@@ -143,7 +158,7 @@ def sgn_cmd(input_path, eps0, alpha0, beta, output_matrix):
     """Approximate matrix sign function via Newton iteration."""
     s, trace = sgn(_load(input_path), SgnParams(eps0, alpha0, beta))
     if output_matrix:
-        write_matrix(output_matrix, s)
+        _save(output_matrix, s)
     return {**trace.to_json(), "eps0": eps0, "alpha0": alpha0, "beta": beta}
 
 
@@ -166,7 +181,8 @@ def split_cmd(input_path, eps, beta, z0_re, z0_im, omega, s1, s2):
 @click.option("--gamma", type=float, required=True)
 @click.option("--mode", type=click.Choice(["empirical", "theoretical"]),
               default="empirical", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--output", type=str, default=None)
 @click.option("--output-matrix", type=str, default=None,
               help="optional path for the perturbed matrix (.mtx)")
@@ -179,7 +195,7 @@ def shatter_cmd(input_path, gamma, mode, seed, output_matrix):
     a = _load(input_path)
     cert = shatter(a, ShatterParams(gamma=gamma, mode=mode), Rng(seed))
     if output_matrix:
-        write_matrix(output_matrix, cert.matrix)
+        _save(output_matrix, cert.matrix)
     return {**cert.to_json(), "seed": seed}
 
 
@@ -299,7 +315,8 @@ _LAB = {
 @click.option("--theta", type=float, default=0.5, show_default=True)
 @click.option("--delta", type=float, default=0.05, show_default=True)
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--output", type=str, default=None)
 @_reports
 def lab_cmd(experiment, trials, seed, **options):

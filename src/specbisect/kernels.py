@@ -88,8 +88,10 @@ def lu_pivot_extremes(a) -> tuple[float, float]:
     The ratio largest/smallest is a cheap growth-based condition estimate.
     No solver path calls it. LAPACK's getrf is called directly: lu_factor
     would turn an exactly zero pivot into a LinAlgWarning, where the caller
-    reads the pivots itself. scipy.linalg is imported here, not with the
-    module, so that the solver runs without it.
+    reads the pivots itself. It is the one function of the package that
+    needs scipy, which is not a run-time dependency (it comes with the
+    'test' extra): scipy.linalg is imported here, not with the module, so
+    that the solver and the CLI run without it.
     """
     import scipy.linalg
 

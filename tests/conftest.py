@@ -107,3 +107,42 @@ def random_nonnormal_matrix(n, rng: Rng, kappa_cap=20.0, re_min=0.3,
 @pytest.fixture
 def rng():
     return Rng(12345)
+
+
+#: Matrix Market files read_matrix rejects with ValueError: the valid
+#: headers outside the accepted subset, then malformed files
+BAD_MTX = {
+    "symmetric": "%%MatrixMarket matrix coordinate real symmetric\n"
+                 "2 2 2\n1 1 1.0\n2 1 3.0\n",
+    "skew-symmetric": "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+                      "2 2 1\n2 1 1.0\n",
+    "hermitian": "%%MatrixMarket matrix array complex hermitian\n"
+                 "2 2\n1 0\n2 1\n3 0\n",
+    "pattern": "%%MatrixMarket matrix coordinate pattern general\n"
+               "2 2 1\n1 1\n",
+    "vector": "%%MatrixMarket vector array real general\n2\n1\n2\n",
+    "no banner": "2 2\n1\n0\n0.5\n-2\n",
+    "empty": "",
+    "bad size line": "%%MatrixMarket matrix array real general\n2 x\n1\n2\n",
+    "size line too long": "%%MatrixMarket matrix array real general\n"
+                          "1 1 1\n1\n",
+    "no size line": "%%MatrixMarket matrix array real general\n% only\n",
+    "too few entries": "%%MatrixMarket matrix array real general\n"
+                       "2 2\n1\n0\n0.5\n",
+    "too many entries": "%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 1\n1 1 1.0\n2 2 2.0\n",
+    "two entries a line": "%%MatrixMarket matrix array real general\n"
+                          "2 1\n1 2\n",
+    "comment among entries": "%%MatrixMarket matrix array real general\n"
+                             "2 1\n1\n% two\n2\n",
+    "index out of range": "%%MatrixMarket matrix coordinate real general\n"
+                          "2 2 1\n3 1 1.0\n",
+    "index zero": "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 1\n1 0 1.0\n",
+    "non-integer index": "%%MatrixMarket matrix coordinate real general\n"
+                         "2 2 1\n1.0 1 1.0\n",
+    "non-number": "%%MatrixMarket matrix array complex general\n"
+                  "1 1\n1.0 abc\n",
+    "integer too large": "%%MatrixMarket matrix array integer general\n"
+                         "1 1\n99999999999999999999\n",
+}

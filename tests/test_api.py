@@ -10,6 +10,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -197,9 +198,51 @@ def test_solver_runs_without_scipy_linalg_or_numpy_ma():
         "assert sb.eig_backward(a, 0.05, p, sb.Rng(2)).residual <= 0.05\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m == 'numpy.ma' or m.startswith('scipy.linalg')))\n")
-    src = str(Path(specbisect.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+    done = _fresh_process(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh process in which importing scipy fails: eig reads a Matrix
+    # Market file, sgn and shatter write one, and each written matrix
+    # reads back bit for bit as the library computes it
+    code = textwrap.dedent("""\
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import specbisect as sb
+        from specbisect.cli import main
+        from specbisect.mmio import read_matrix, write_matrix
+
+        d = sys.argv[1]
+        a = np.diag([0.5, -0.5, 0.5j, -0.5j])
+        write_matrix(d + "/a.mtx", a)
+        for args in (["eig", "--seed", "7"],
+                     ["sgn", "--eps0", "0.1", "--alpha0", "0.9",
+                      "--output-matrix", d + "/s.mtx"],
+                     ["shatter", "--gamma", "0.05", "--seed", "3",
+                      "--output-matrix", d + "/x.mtx"]):
+            try:
+                main(args + ["--input", d + "/a.mtx"])
+            except SystemExit as done:
+                assert done.code == 0, (args, done.code)
+        s, _ = sb.sgn(a, sb.SgnParams(0.1, 0.9, 1e-8))
+        x = sb.shatter(a, sb.ShatterParams(gamma=0.05), sb.Rng(3)).matrix
+        for name, m in (("s", s), ("x", x)):
+            back = read_matrix(d + "/" + name + ".mtx")
+            assert back.shape == m.shape and back.tobytes() == m.tobytes()
+        print(sorted(name for name, module in sys.modules.items()
+                     if name.split(".")[0] == "scipy" and module is not None))
+    """)
+    done = _fresh_process(code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _fresh_process(code, *args):
+    """Run code in a new interpreter that imports this checkout's package."""
+    src = str(Path(specbisect.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})

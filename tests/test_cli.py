@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import BAD_MTX
 from specbisect.cli import main
-from specbisect.mmio import write_matrix
+from specbisect.mmio import read_matrix, write_matrix
 
 GRID8 = ["--z0-re", "-4", "--z0-im", "-4", "--omega", "1",
          "--s1", "8", "--s2", "8"]
@@ -83,7 +84,6 @@ def test_sgn_command(tmp_path, runner):
     assert res.exit_code == 0, res.output
     report = json.loads(res.output)
     assert 1 <= report["n_steps"] <= report["budget"]
-    from specbisect.mmio import read_matrix
     s = read_matrix(str(sout))
     assert np.linalg.norm(s - np.diag([1.0, -1.0]), 2) <= 1e-8
 
@@ -263,3 +263,63 @@ def test_json_reports_have_sorted_keys(tmp_path, runner):
     assert res.exit_code == 0
     keys = list(json.loads(res.output).keys())
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("name", BAD_MTX)
+def test_unreadable_input_exit_3(tmp_path, runner, name):
+    path = tmp_path / "bad.mtx"
+    path.write_text(BAD_MTX[name])
+    res = runner.invoke(main, ["eig", "--input", str(path)])
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith(f"error reading {path}: ")
+
+
+SGN_ARGS = ["sgn", "--eps0", "0.1", "--alpha0", "0.9"]
+SHATTER_ARGS = ["shatter", "--gamma", "0.05", "--seed", "3"]
+
+
+@pytest.mark.parametrize("args", [SGN_ARGS, SHATTER_ARGS])
+def test_output_matrix_to_missing_directory_exit_3(tmp_path, runner, args):
+    path = _write(tmp_path, "a.mtx", np.diag([0.5, -0.5, 0.5j, -0.5j]))
+    target = str(tmp_path / "missing" / "m.mtx")
+    res = runner.invoke(main, args + ["--input", path,
+                                      "--output-matrix", target])
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith(f"error writing {target}: ")
+    assert len(res.output.splitlines()) == 1
+
+
+def test_output_matrix_written_to_exactly_its_path(tmp_path, runner):
+    path = _write(tmp_path, "a.mtx", np.diag([2.0, -3.0]))
+    res = runner.invoke(main, SGN_ARGS + ["--input", path, "--output-matrix",
+                                          str(tmp_path / "sign")])
+    assert res.exit_code == 0, res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mtx", "sign"]
+
+
+@pytest.mark.parametrize("args", [
+    ["calc", "n-formula", "--alpha0", "0.9", "--eps0", "0.01",
+     "--beta", "1e-3"],
+    ["certify", "--eps", "0.4"] + GRID8,
+])
+def test_output_to_missing_directory_exit_3(tmp_path, runner, args):
+    if args[0] == "certify":
+        args = args + ["--input", _write(tmp_path, "a.mtx", 0.5 * np.eye(2))]
+    target = str(tmp_path / "missing" / "report.json")
+    res = runner.invoke(main, args + ["--output", target])
+    assert res.exit_code == 3, res.output
+    assert res.output.startswith(f"error writing {target}: ")
+    assert len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["eig"], ["shatter", "--gamma", "0.05"],
+    ["lab", "gap", "--n", "4", "--trials", "1"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, runner, args):
+    if args[0] != "lab":
+        args = args + ["--input", _write(tmp_path, "a.mtx", 0.5 * np.eye(2))]
+    assert runner.invoke(main, args + ["--seed", "0"]).exit_code == 0
+    res = runner.invoke(main, args + ["--seed", "-1"])
+    assert res.exit_code == 3, res.output
+    assert "--seed" in res.output
