@@ -19,7 +19,7 @@ import numpy as np
 from .deflate import deflate
 from .errors import PROBABILISTIC, EigFailureError, PreconditionError
 from .grids import Grid, kappa_v_upper, min_gap
-from .kernels import (C_INV, MU_MM, MU_QR, as_cmatrix, mat_inv,
+from .kernels import (C_INV, MU_MM, MU_QR, as_cmatrix, fro_norm, mat_inv,
                       normalize_columns, op_norm)
 from .randmat import Rng
 from .shatter import ShatterParams, shatter
@@ -64,8 +64,15 @@ class EigResult:
     """V and D of a solve, the residual ||A - V D V^-1|| and kappa(V)
     measured against A, the grid the recursion started from (the
     shattering grid of eig_backward, None where it solves n = 1 directly),
-    the recursion depth and the attempts eig_backward used (1 + the
-    retries)."""
+    the recursion depth, the attempts eig_backward used (1 + the retries)
+    and the recursion's own backward error.
+
+    inner_residual bounds ||X - V D V^-1||_2 for the matrix X the
+    recursion diagonalized: eig_backward's shattered X, against which the
+    recursion aims at delta' = delta^3/(1536 n^2.5), or eig_shattered's A,
+    where it is the residual. It is the Frobenius norm, an upper bound,
+    where that is at most delta', and the 2-norm where it is not; None on
+    a result built by hand."""
 
     v: np.ndarray
     d: np.ndarray
@@ -74,6 +81,7 @@ class EigResult:
     grid: Grid | None
     depth: int
     attempts: int = 1
+    inner_residual: float | None = None
 
     @property
     def square_assignment(self) -> list:
@@ -93,14 +101,23 @@ class EigResult:
             "square_assignment": [list(s) if s is not None else None
                                   for s in self.square_assignment],
             "attempts": self.attempts,
+            "inner_residual": self.inner_residual,
         }
 
 
-def _measure(a, v, d) -> tuple[float, float]:
+def _measure(a, v, d) -> tuple[float, float, np.ndarray]:
+    """(||A - V D V^-1||, kappa(V), V D V^-1)."""
     vinv, _ = mat_inv(v)
-    residual = op_norm(a - v @ np.diag(d) @ vinv)
-    kv = op_norm(v) * op_norm(vinv)
-    return residual, kv
+    vdv = v @ np.diag(d) @ vinv
+    return op_norm(a - vdv), op_norm(v) * op_norm(vinv), vdv
+
+
+def _inner_residual(x, vdv, delta_p: float) -> float:
+    """||X - V D V^-1||_F where that is at most delta_p, else the 2-norm:
+    an upper bound on the 2-norm that takes an SVD only above delta_p."""
+    err = x - vdv
+    bound = fro_norm(err)
+    return op_norm(err) if bound > delta_p else bound
 
 
 def _eig_node(a: np.ndarray, delta: float, g: Grid, eps: float,
@@ -158,12 +175,14 @@ def eig_shattered(a, delta: float, g: Grid, eps: float, theta: float,
     retries it.
 
     The residual and kappa_V are measured at the entry point only, once,
-    against A; the recursion below it measures nothing.
+    against A; the recursion below it measures nothing. A is the matrix
+    the recursion diagonalized, so the inner residual is the residual.
     """
     a = as_cmatrix(a)
     v, d, depth = _eig_node(a, delta, g, eps, theta, rng, eigenvalues)
-    residual, kv = _measure(a, v, d)
-    return EigResult(v, d, residual, kv, g, depth)
+    residual, kv, _ = _measure(a, v, d)
+    return EigResult(v, d, residual, kv, g, depth,
+                     inner_residual=residual)
 
 
 def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
@@ -178,7 +197,8 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
     misses the contract runs again with fresh randomness (attempt k draws
     from rng's children 2k and 2k + 1), up to RETRY_BUDGET times; then
     EigFailureError, chained from the last attempt's failure. The result
-    records the attempts used.
+    records the attempts used and the inner residual against the shattered
+    X, which the recursion solved to delta'.
 
     Attempts draw independently, so under the paper's precision
     assumption a solve fails with probability at most
@@ -195,7 +215,8 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
         raise PreconditionError("eig_backward requires ||A|| <= 1")
     if n == 1:
         return EigResult(np.eye(1, dtype=np.complex128),
-                         np.array([complex(a[0, 0])]), 0.0, 1.0, None, 0)
+                         np.array([complex(a[0, 0])]), 0.0, 1.0, None, 0,
+                         inner_residual=0.0)
 
     delta_p = delta**3 / (BACKWARD_ACCURACY_DENOM * n**2.5)
     theta = min(params.theta, 1.0 / n)
@@ -211,9 +232,10 @@ def eig_backward(a, delta: float, params: EigParams, rng: Rng) -> EigResult:
         except PROBABILISTIC as err:
             failure = err
             continue
-        residual, kv = _measure(a, v, d)
+        residual, kv, vdv = _measure(a, v, d)
         if residual <= delta and kv <= kv_cap:  # False on NaN
-            return EigResult(v, d, residual, kv, cert.grid, depth, attempt + 1)
+            return EigResult(v, d, residual, kv, cert.grid, depth, attempt + 1,
+                             _inner_residual(cert.matrix, vdv, delta_p))
         failure = EigFailureError(
             f"result missed the backward contract: residual {residual:.3e} "
             f"(delta {delta:g}), kappa_V {kv:.3e} (cap {kv_cap:.3e})")

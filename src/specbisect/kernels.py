@@ -2,7 +2,7 @@
 
 All operations work on complex128 ndarrays and are pure: inputs are never
 mutated. Square-matrix kernels validate through as_cmatrix, except
-mat_inv, the per-step kernel of the sign iteration, and trace: both take
+mat_inv, the sign iteration's verdict path, and trace: both take
 arrays their caller validated or built. QR, norms and column scaling
 accept any 2-d array. These are the concrete instantiations of the
 black-box stable primitives (invert, QR, norms) that the higher-level
@@ -14,13 +14,15 @@ runs without scipy. Inversion is one call of numpy's inv gufunc, LAPACK's
 zgesv (a partial-pivot LU, zgetrf, then the triangular solves, zgetrs,
 against the identity); numpy exposes no LU factors, so mat_inv judges
 singularity from the Frobenius norms of the matrix and its inverse, and a
-Newton sign step costs one factorization and one gufunc call. QR is
-numpy's two qr gufuncs (zgeqrf in place, then zungqr), with a Q-only
-path (qr_q) for the callers that discard R, the operator norm
-numpy's svd gufunc without vectors (zgesdd), and the Frobenius norm one BLAS
-inner product: on the small blocks deep in the recursion the wrappers,
-not LAPACK, would otherwise set the cost, so the hot kernels skip the
-public np.linalg wrappers. Each returns, bit for bit, what the scipy.linalg
+Newton sign step costs one factorization and one gufunc call: sgn makes
+that call and the test in its own loop and calls mat_inv only on a step
+that fails the test, for the verdict. QR is numpy's two qr gufuncs
+(zgeqrf in place, then zungqr), with a Q-only path (qr_q) for the
+callers that discard R, the operator norm numpy's svd gufunc without
+vectors (zgesdd), and the Frobenius norm one BLAS inner product: on the
+small blocks deep in the recursion the wrappers, not LAPACK, would
+otherwise set the cost, so the hot kernels skip the public np.linalg
+wrappers. Each returns, bit for bit, what the scipy.linalg
 routine of the same LAPACK call does (the tests compare them).
 
 Shifted smallest singular values have one kernel,
@@ -82,6 +84,13 @@ def as_cmatrix(a) -> np.ndarray:
 PIVOT_FLOOR = 10
 
 
+def singular_limit(n: int) -> float:
+    """1/(max(n, PIVOT_FLOOR) u): an n x n matrix A with ||A||_F ||A^-1||_F
+    not below it is singular to working precision (mat_inv's test, which
+    sgn runs inline on every Newton step)."""
+    return 1.0 / (max(n, PIVOT_FLOOR) * UNIT_ROUNDOFF)
+
+
 def lu_pivot_extremes(a) -> tuple[float, float]:
     """(smallest, largest) |U_ii| from a partial-pivot LU of a.
 
@@ -135,10 +144,13 @@ def mat_inv(a, a_fro: float | None = None) -> tuple[np.ndarray, float]:
     exactly singular ones with subnormal entries, whose LU rounds in the
     subnormal range.
 
-    sgn passes a_fro = ||A||_F, which it holds already, and holds an
-    np.errstate of its own. Without a_fro, mat_inv takes the norm and
-    holds one itself, so that an exactly zero pivot raises without
-    numpy's invalid-value warning.
+    sgn makes the gufunc call and this test itself on every Newton step
+    and calls mat_inv only on a step that fails the test, so mat_inv is
+    its one verdict path: it raises, or returns the inverse sgn computed,
+    bit for bit. sgn passes a_fro = ||A||_F, which it holds already, and
+    holds an np.errstate of its own. Without a_fro, mat_inv takes the
+    norm and holds one itself, so that an exactly zero pivot raises
+    without numpy's invalid-value warning.
     """
     if a_fro is None:
         with np.errstate(invalid="ignore"):
@@ -146,7 +158,7 @@ def mat_inv(a, a_fro: float | None = None) -> tuple[np.ndarray, float]:
     inv = _umath_linalg.inv(a, signature="D->D")
     inv_fro = fro_norm(inv)
     cond = a_fro * inv_fro
-    limit = 1.0 / (max(a.shape[0], PIVOT_FLOOR) * UNIT_ROUNDOFF)
+    limit = singular_limit(a.shape[0])
     if not cond < limit:
         _singular_or_overflow(a, cond, limit)
     return inv, inv_fro
@@ -199,7 +211,11 @@ def _householder(a) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     tau = _umath_linalg.qr_r_raw(qr, signature="D->D")
     d = qr.diagonal()
     absd = np.abs(d)
-    ph = np.divide(d, absd, out=np.ones(k, np.complex128), where=absd > 0.0)
+    if np.count_nonzero(absd) == k:
+        ph = d / absd
+    else:  # a pivot is exactly 0 (a column in the span of those before it)
+        ph = np.divide(d, absd, out=np.ones(k, np.complex128),
+                       where=absd > 0.0)
     q = np.empty((m, k), np.complex128, order="F")
     _umath_linalg.qr_reduced(qr, tau, signature="DD->D", out=q)
     q *= ph

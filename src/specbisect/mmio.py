@@ -10,6 +10,8 @@ The writer writes the 'array complex general' format.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 #: numbers per entry, before a coordinate entry's two indices
@@ -48,12 +50,12 @@ def read_matrix(path: str) -> np.ndarray:
                          f"{path}; only 'real', 'integer' and 'complex' "
                          f"are accepted")
 
-    rows = [line.split() for line in lines[1:] if line.strip()]
+    rows = [words for words in map(str.split, lines[1:]) if words]
     start = 0
     while start < len(rows) and rows[start][0].startswith("%"):
         start += 1
     coordinate = fmt == "coordinate"
-    size = _parse(rows[start:start + 1], np.int64, path).ravel()
+    size = _parse(rows[start] if start < len(rows) else [], int, path)
     if size.size != 2 + coordinate or (size < 0).any():
         raise ValueError(f"{path} needs a size line of {2 + coordinate} "
                          f"non-negative integers, not {size.tolist()}")
@@ -65,16 +67,20 @@ def read_matrix(path: str) -> np.ndarray:
         raise ValueError(f"{path} must hold {count} entries of {width} "
                          f"numbers, one a line")
 
-    table = np.array(entries, dtype=str).reshape(count, width)
-    x = _parse(table[:, 2 * coordinate:],
-               np.int64 if field == "integer" else np.float64, path)
+    # one pass of float() (int() for integer fields) over every number,
+    # a coordinate entry's indices included, in file order
+    words = list(chain.from_iterable(entries))
+    table = _parse(words, int if field == "integer" else float,
+                   path).reshape(count, width)
+    x = table[:, 2 * coordinate:]
     values = (x.view(np.complex128) if field == "complex" else x)[:, 0]
     if coordinate:
-        ij = _parse(table[:, :2], np.int64, path) - 1
-        if ((ij < 0) | (ij >= (m, n))).any():
+        ij = _parse(words[0::width] + words[1::width], int,
+                    path).reshape(2, count) - 1
+        if ((ij < 0) | (ij >= [[m], [n]])).any():
             raise ValueError(f"{path} has an entry outside its {m}x{n} shape")
         a = np.zeros((m, n), dtype=values.dtype)
-        np.add.at(a, (ij[:, 0], ij[:, 1]), values)
+        np.add.at(a, (ij[0], ij[1]), values)
     else:
         a = values.reshape(n, m).T
     # duplicates add in the field's own type (integers exactly), as scipy's
@@ -82,10 +88,12 @@ def read_matrix(path: str) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.complex128)
 
 
-def _parse(words, dtype, path: str) -> np.ndarray:
-    """words, an array or nested list of number strings, as dtype."""
+def _parse(words: list[str], kind: type, path: str) -> np.ndarray:
+    """words, number strings, as int64 (kind int) or float64 (kind float),
+    through Python's int() or float()."""
+    dtype = np.int64 if kind is int else np.float64
     try:
-        return np.array(words, dtype=str).astype(dtype)
+        return np.fromiter(map(kind, words), dtype, len(words))
     except (ValueError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -96,6 +104,7 @@ def write_matrix(path: str, a) -> None:
     round-trip doubles exactly. A missing directory raises OSError."""
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
+    parts = a.T.ravel().view(np.float64).tolist()  # re, im, column-major
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix array complex general\n{m} {n}\n")
-        fh.writelines(f"{z.real:.16e} {z.imag:.16e}\n" for z in a.T.flat)
+        fh.write("%.16e %.16e\n" * (m * n) % tuple(parts))

@@ -28,7 +28,7 @@ class Rng:
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
+        self.path = tuple(map(int, path))
 
     @functools.cached_property
     def _gen(self) -> np.random.Generator:

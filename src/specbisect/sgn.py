@@ -7,11 +7,14 @@ iteration count and precision formulas here are closed forms derived from
 that geometry; sgn() returns what exactly that many steps of the matrix
 iteration give, bit for bit, and stops early at a fixed point, an iterate
 that equals the one before it bit for bit, since every later step would
-return it again. A step costs one LAPACK zgesv call through numpy (one LU
-and its solve against the identity, mat_inv) and two Frobenius norms, of
-the inverse and of the new iterate, which serve the singularity test, the
-trace, the finiteness check and the fixed-point test at once; bytes are
-compared only when the new iterate's norm equals the last one's.
+return it again. A step runs in sgn's own loop: one call of numpy's inv
+gufunc (LAPACK zgesv, one LU and its solve against the identity) and two
+Frobenius norms (one inner product each), of the inverse and of the new
+iterate, which serve the singularity test, the trace, the finiteness
+check and the fixed-point test at once; bytes are compared only when the
+new iterate's norm equals the last one's. Only a step whose norms fail
+the singularity test goes through kernels.mat_inv, the one verdict path:
+it raises, or lets the overflow case pass.
 
 lg denotes log base 2 throughout.
 """
@@ -23,12 +26,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import PreconditionError, SingularMatrixError
-from .kernels import (C_INV, MU_INV, UNIT_ROUNDOFF, as_cmatrix, fro_norm,
-                      mat_inv)
+from .kernels import (_SUMSQ_MIN, C_INV, MU_INV, UNIT_ROUNDOFF, as_cmatrix,
+                      fro_norm, mat_inv, singular_limit)
 # sgn calls neither; the benchmark's trace (bench/spans.py SITES) wraps both
 from .kernels import lu_pivot_extremes, op_norm  # noqa: F401
+
+
+#: the 0.5 of a Newton step as a read-only 0-d complex array
+_HALF = np.array(0.5 + 0j)
+_HALF.setflags(write=False)
 
 
 def _lg(x: float) -> float:
@@ -266,24 +275,31 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
     The caller guarantees Lambda_eps0(A) lies in C_alpha0; under that
     contract (and sufficient precision) the result is within beta of
     sgn(A). A numerically singular iterate signals that the contract was
-    violated (the pseudospectrum touched the imaginary axis): mat_inv's
-    test ||X_k||_F ||X_k^-1||_F >= 1/(max(n, PIVOT_FLOOR) u) raises, and sgn
-    re-raises it as PreconditionError.
+    violated (the pseudospectrum touched the imaginary axis): a step with
+    ||X_k||_F ||X_k^-1||_F >= 1/(max(n, PIVOT_FLOOR) u) goes to mat_inv,
+    whose verdict raises, and sgn re-raises it as PreconditionError.
 
-    Each step is one zgesv call (mat_inv: one LU and its solve), no SVD,
-    and two Frobenius norms. mat_inv takes the inverse's, for its
-    singularity test against the iterate's norm that sgn passes it, and
-    the trace records both. The new iterate's norm is finite exactly when
-    every entry is, short of the norm itself overflowing (then the entries
-    are checked). A step is a deterministic function of the iterate's
-    bits, so once X_{k+1} equals X_k bit for bit, every later iterate
-    equals it too and X_N = X_{k+1}: sgn returns it without running the
+    Each step runs here: one call of numpy's inv gufunc (zgesv: one LU and
+    its solve), no SVD, and two Frobenius norms, of the inverse, for the
+    singularity test against the iterate's norm, and of the new iterate;
+    the trace records both. Each norm is one inner product taken here,
+    with fro_norm called only where the sum of squares leaves its
+    unscaled range, so it is fro_norm's value bit for bit. The limit of
+    the test is computed once per call. Only a step that fails the test
+    goes through mat_inv, the one verdict path, which computes the same
+    inverse bit for bit: it raises, or returns that inverse where only a
+    finite, well-conditioned iterate's scale made it or the product
+    overflow. The new iterate's norm is finite exactly when every entry
+    is, short of the norm itself overflowing (then the entries are
+    checked). A step is a deterministic function of the iterate's bits,
+    so once X_{k+1} equals X_k bit for bit, every later iterate equals
+    it too and X_N = X_{k+1}: sgn returns it without running the
     remaining steps, which would have inverted and checked only that
     iterate again. The bytes, which unlike == tell -0.0 from 0.0, are
     compared only when the two norms are equal. Each step writes X_{k+1}
-    into the fresh inverse mat_inv returned, so sgn allocates no n x n
-    array beyond that inverse and never writes into the caller's; the
-    result is always a computed iterate, never the caller's array.
+    into the fresh inverse, so sgn allocates no n x n array beyond that
+    inverse and never writes into the caller's; the result is always a
+    computed iterate, never the caller's array.
     """
     a = as_cmatrix(a)
     n = a.shape[0]
@@ -293,26 +309,35 @@ def sgn(a, params: SgnParams) -> tuple[np.ndarray, SgnTrace]:
                      beta=params.beta, n=n)
 
     x, x_norm = a, fro_norm(a)
+    limit = singular_limit(n)
     # an overflowing inverse is caught by the finiteness check below, so
     # numpy's overflow/invalid warnings on the way there are noise, and so
     # is the invalid flag of an exactly zero pivot, which mat_inv raises on
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            try:
-                xinv, xinv_norm = mat_inv(x, x_norm)
-            except SingularMatrixError as err:
-                raise PreconditionError(
-                    f"iterate {k} is singular to working precision; the "
-                    f"pseudospectrum likely touches the imaginary axis"
-                ) from err
+            xinv = _umath_linalg.inv(x, signature="D->D")
+            sumsq = np.vdot(xinv, xinv).real  # fro_norm, inline
+            xinv_norm = (math.sqrt(sumsq) if _SUMSQ_MIN <= sumsq < math.inf
+                         else fro_norm(xinv))
+            if not x_norm * xinv_norm < limit:  # also NaN
+                try:
+                    xinv, xinv_norm = mat_inv(x, x_norm)
+                except SingularMatrixError as err:
+                    raise PreconditionError(
+                        f"iterate {k} is singular to working precision; "
+                        f"the pseudospectrum likely touches the imaginary "
+                        f"axis") from err
             trace.iterate_norms.append((x_norm, xinv_norm))
             x_prev, prev_norm = x, x_norm
             # X_{k+1} = 0.5 (X_k + X_k^-1), bit for bit, written into the
-            # fresh inverse: IEEE addition commutes
+            # fresh inverse: IEEE addition commutes, and _HALF runs the
+            # complex multiply of `*= 0.5` without converting the scalar
             xinv += x
-            xinv *= 0.5
+            np.multiply(xinv, _HALF, out=xinv)
             x = xinv
-            x_norm = fro_norm(x)
+            sumsq = np.vdot(x, x).real
+            x_norm = (math.sqrt(sumsq) if _SUMSQ_MIN <= sumsq < math.inf
+                      else fro_norm(x))
             # fro_norm propagates NaN and Inf, so a finite norm clears every
             # entry; an infinite one may still be an overflow of the norm
             if not math.isfinite(x_norm) and not np.isfinite(x).all():

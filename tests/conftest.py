@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from specbisect.randmat import Rng
+from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
 
 
 def oracle_sign(a):
@@ -107,6 +107,18 @@ def random_nonnormal_matrix(n, rng: Rng, kappa_cap=20.0, re_min=0.3,
 @pytest.fixture
 def rng():
     return Rng(12345)
+
+
+def bench_input(kind, n, i):
+    """Input i of the benchmark's seed-1 set of that family and size, built
+    as bench/workloads.py builds it, and the Rng its solve gets."""
+    rng = Rng(1, (0, i))
+    if kind == "ginibre":
+        a = sample_ginibre(n, rng)
+    else:  # Q diag(d) Q* with Q Haar and d cycling through {1, -1, i, -i}
+        q = sample_haar_unitary(n, rng)
+        a = (q * np.array([1, -1, 1j, -1j])[np.arange(n) % 4]) @ q.conj().T
+    return a / np.linalg.norm(a, 2), Rng(1, (1, i))
 
 
 #: Matrix Market files read_matrix rejects with ValueError: the valid

@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import phase_align
+from conftest import bench_input, phase_align
 from specbisect.eig import (RETRY_BUDGET, EigParams, EigResult,
                             eig_backward, eig_forward, eig_iteration_budget,
                             eig_precision_requirement, eig_shattered,
@@ -124,18 +124,6 @@ def test_depth_bound(rng):
     assert res.depth <= math.log(n) / math.log(1.25)
 
 
-def _bench_input(kind, n, i):
-    """Input i of the benchmark's seed-1 set of that family and size, built
-    as bench/workloads.py builds it, and the Rng its solve gets."""
-    rng = Rng(1, (0, i))
-    if kind == "ginibre":
-        a = sample_ginibre(n, rng)
-    else:  # Q diag(d) Q* with Q Haar and d cycling through {1, -1, i, -i}
-        q = sample_haar_unitary(n, rng)
-        a = (q * np.array([1, -1, 1j, -1j])[np.arange(n) % 4]) @ q.conj().T
-    return a / np.linalg.norm(a, 2), Rng(1, (1, i))
-
-
 @pytest.mark.parametrize("kind,n,inputs", [
     ("ginibre", 24, (22, 25)), ("ginibre", 48, (6, 10)),
     ("clustered", 24, (1, 3)), ("clustered", 48, (1, 5))],
@@ -144,7 +132,7 @@ def test_median_split_depth_is_logarithmic(kind, n, inputs):
     # a split that keeps the first balanced line a binary search finds,
     # not the most balanced one, recurses 8 or 9 levels deep on these
     for i in inputs:
-        a, rng = _bench_input(kind, n, i)
+        a, rng = bench_input(kind, n, i)
         res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n), rng)
         assert res.depth <= math.ceil(math.log2(n)) + 2
 
@@ -172,7 +160,7 @@ def test_backward_recursion_meets_its_inner_guarantee(monkeypatch, kind, n, i):
         return certs[-1]
 
     monkeypatch.setattr(eig_module, "shatter", captured)
-    a, rng = _bench_input(kind, n, i)
+    a, rng = bench_input(kind, n, i)
     res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n), rng)
     x, grid = certs[-1].matrix, certs[-1].grid
     assert res.grid is grid
@@ -184,6 +172,11 @@ def test_backward_recursion_meets_its_inner_guarantee(monkeypatch, kind, n, i):
     aligned = phase_align(vr[:, match], res.v)
     delta_p = 0.05**3 / (1536 * n**2.5)
     assert np.linalg.norm(aligned - res.v, axis=0).max() <= delta_p
+    # the recursion's backward error against X meets delta' too, and the
+    # reported value bounds the 2-norm
+    vdv = res.v @ np.diag(res.d) @ np.linalg.inv(res.v)
+    assert np.linalg.norm(x - vdv, 2) <= res.inner_residual * (1 + 1e-12)
+    assert res.inner_residual <= delta_p
     # LAPACK's vectors are accurate to about u ||X|| / sep_j; that floor
     # sits well below delta', so the check measures the solver
     floor = max(UNIT_ROUNDOFF * op_norm(x) / _sep(x, lam[j], vr[:, j])
@@ -202,7 +195,7 @@ def test_one_generator_per_node_serves_both_deflations(monkeypatch):
         return draws[-1][1]
 
     monkeypatch.setattr(deflate_module, "sample_ginibre", recorded)
-    a, rng = _bench_input("ginibre", 8, 0)
+    a, rng = bench_input("ginibre", 8, 0)
     res = eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / 8), rng)
     assert res.attempts == 1 and len(draws) == 2 * (8 - 1)
     paths = set()
@@ -311,8 +304,16 @@ def test_measured_once_at_the_entry_point(monkeypatch, rng, n):
     want = op_norm(cert.matrix
                    - res.v @ np.diag(res.d) @ np.linalg.inv(res.v))
     assert res.residual == pytest.approx(want, rel=1e-6, abs=1e-12)
+    assert res.inner_residual == res.residual  # it diagonalized its argument
     assert res.square_assignment == [cert.grid.square_index(complex(z))
                                      for z in res.d]
+
+
+def test_inner_residual_takes_an_svd_only_above_delta_p():
+    eig_module = importlib.import_module("specbisect.eig")
+    x, vdv = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    assert eig_module._inner_residual(x, vdv, 2.0) == math.sqrt(2.0)
+    assert eig_module._inner_residual(x, vdv, 1.0) == 1.0
 
 
 def test_eig_shattered_runs_the_matrix_gate_once(monkeypatch):
@@ -460,8 +461,8 @@ def _misses(monkeypatch, count):
 
     def measure(a, v, d):
         vs.append(v)
-        residual, kv = original(a, v, d)
-        return (math.inf if len(vs) <= count else residual), kv
+        residual, kv, vdv = original(a, v, d)
+        return (math.inf if len(vs) <= count else residual), kv, vdv
 
     monkeypatch.setattr(eig_module, "_measure", measure)
     return vs
@@ -605,6 +606,7 @@ def test_square_assignment_derived_from_the_grid(rng):
     one = eig_backward(np.array([[0.5j]]), 0.05,
                        EigParams(delta=0.05, theta=0.5), Rng(0))
     assert one.grid is None and one.square_assignment == [None]
+    assert one.inner_residual == 0.0
     outside = eig_shattered(np.array([[9.0 + 0j]]), 1e-3, UNIT8, 0.4, 0.1,
                             Rng(0))
     assert outside.square_assignment == [None]
@@ -627,6 +629,7 @@ def test_result_json_construction_and_pickle():
         "depth": 2,
         "square_assignment": [[4, 4], [2, 1], None],
         "attempts": 1,
+        "inner_residual": None,
     })
     assert not hasattr(res, "__dict__")
     back = pickle.loads(pickle.dumps(res))

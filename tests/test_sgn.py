@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (certified_apollonius_params, oracle_sign,
-                      random_nonnormal_matrix, random_normal_matrix)
+from conftest import (bench_input, certified_apollonius_params,
+                      oracle_sign, random_nonnormal_matrix,
+                      random_normal_matrix)
 from specbisect import kernels
+from specbisect.eig import EigParams, eig_backward
 from specbisect.errors import PreconditionError, SingularMatrixError
-from specbisect.kernels import UNIT_ROUNDOFF
+from specbisect.kernels import UNIT_ROUNDOFF, fro_norm, singular_limit
 from specbisect.randmat import Rng, sample_ginibre, sample_haar_unitary
 from specbisect.sgn import (SgnParams, alpha_sequence, apollonius_contains,
                             condition_bounds_from_pseudospectrum,
@@ -417,7 +419,8 @@ def test_sgn_overflowing_norm_is_not_a_non_finite_iterate():
 
 def test_sgn_hot_path_one_lu_no_svd(monkeypatch):
     # one call of numpy's inv gufunc (zgesv: LU and solve in one LAPACK
-    # call) per step, and no SVD
+    # call) per step, made in sgn's own loop, and no SVD; a step that
+    # passes the singularity test never reaches mat_inv's verdict
     inputs = [make() for make in FAST_PATH_INPUTS.values()]
     calls = []
 
@@ -429,16 +432,101 @@ def test_sgn_hot_path_one_lu_no_svd(monkeypatch):
         raise AssertionError("called on the sgn hot path")
 
     # every other gufunc, the SVDs included, is missing from the namespace
-    monkeypatch.setattr(kernels, "_umath_linalg",
-                        types.SimpleNamespace(inv=inv))
+    only_inv = types.SimpleNamespace(inv=inv)
+    monkeypatch.setattr(sgn_module, "_umath_linalg", only_inv)
+    monkeypatch.setattr(kernels, "_umath_linalg", only_inv)
     for name in ("inv", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    for name in ("op_norm", "op_norm_inv_safe", "lu_pivot_extremes"):
+    for name in ("mat_inv", "op_norm", "op_norm_inv_safe",
+                 "lu_pivot_extremes"):
         monkeypatch.setattr(sgn_module, name, forbidden)
     for a in inputs:
         calls.clear()
         _, trace = sgn(a, FAST_PATH_PARAMS)
         assert calls == ["D->D"] * trace.n_steps
+
+
+def _record_verdicts(monkeypatch):
+    """The iterate norms sgn passes to mat_inv, call by call."""
+    verdicts = []
+
+    def recorded(x, x_fro):
+        verdicts.append(x_fro)
+        return kernels.mat_inv(x, x_fro)
+
+    monkeypatch.setattr(sgn_module, "mat_inv", recorded)
+    return verdicts
+
+
+@pytest.mark.parametrize("kind,n,i", [("clustered", 24, 0),
+                                      ("clustered", 24, 1),
+                                      ("ginibre", 48, 0)])
+def test_sgn_calls_of_whole_solves_equal_the_reference_loop(monkeypatch,
+                                                            kind, n, i):
+    # every sgn call of a seed-1 benchmark solve: S and each recorded norm
+    # are the two-factorization loop's, bit for bit, and no step reaches
+    # mat_inv's verdict
+    split_module = importlib.import_module("specbisect.split")
+    original, calls = split_module.sgn, []
+
+    def captured(a, params):
+        s, trace = original(a, params)
+        calls.append((a.copy(), params, s.copy(), trace))
+        return s, trace
+
+    monkeypatch.setattr(split_module, "sgn", captured)
+    verdicts = _record_verdicts(monkeypatch)
+    a, rng = bench_input(kind, n, i)
+    eig_backward(a, 0.05, EigParams(delta=0.05, theta=1 / n), rng)
+    assert len(calls) >= n - 1 and verdicts == []
+    for x0, params, s, trace in calls:
+        xs, invs = _reference_sgn(x0, trace.budget)
+        assert _same_bits(s, xs[-1])
+        assert trace.iterate_norms == [
+            (fro_norm(x), fro_norm(xinv))
+            for x, xinv in zip(xs[:trace.n_steps], invs)]
+
+
+def _pivot_15u(n=20):
+    a = np.eye(n, dtype=complex)
+    a[-1, -1] = 15 * UNIT_ROUNDOFF
+    return a
+
+
+#: one input per branch of mat_inv's verdict: it raises, or it lets an
+#: overflow through and sgn's finiteness check stops the run at the next
+#: iterate, or the run goes on
+VERDICT_INPUTS = {
+    "singular": _pivot_15u,
+    "overflowing-inverse": lambda: 1e-310 * np.array(
+        [[1.0, 0.5], [0.25, 1.0]], dtype=complex),
+    "overflowing-norm": lambda: 1.5e308 * np.eye(16, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("kind", VERDICT_INPUTS)
+def test_sgn_verdicts_go_through_mat_inv(monkeypatch, kind):
+    verdicts = _record_verdicts(monkeypatch)
+    a = VERDICT_INPUTS[kind]()
+    if kind == "singular":
+        with pytest.raises(PreconditionError, match="iterate 0 is "
+                           "singular") as exc:
+            sgn(a, FAST_PATH_PARAMS)
+        assert isinstance(exc.value.__cause__, SingularMatrixError)
+        assert verdicts == [fro_norm(a)]
+    elif kind == "overflowing-inverse":
+        with pytest.raises(PreconditionError, match="non-finite entries at "
+                           "iterate 1"):
+            sgn(a, FAST_PATH_PARAMS)
+        assert verdicts == [fro_norm(a)]
+    else:  # ||X_0||_F and ||X_1||_F overflow; the entries stay finite
+        s, trace = sgn(a, FAST_PATH_PARAMS)
+        limit = singular_limit(16)
+        assert [k for k, (x_fro, inv_fro) in enumerate(trace.iterate_norms)
+                if not x_fro * inv_fro < limit] == [0, 1]
+        assert verdicts == [math.inf, math.inf]
+        xs, _ = _reference_sgn(a, trace.budget)
+        assert _same_bits(s, xs[-1])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
